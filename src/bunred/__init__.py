@@ -4,12 +4,7 @@ window-equation solver, the recursive reduction tree, and an independent
 certificate verifier."""
 
 from .affine import DegreeAffineMap, IDENTITY_MAP, compose_det
-from .diophantine import (
-    LemmaSolution,
-    reduction_measure,
-    solve_lemma,
-    solve_lemma_bruteforce,
-)
+from .diophantine import LemmaSolution, solve_lemma, solve_lemma_bruteforce
 from .errors import (
     BaseCaseReached,
     BaseMismatch,
@@ -36,11 +31,9 @@ from .generic_hom import (
     no_bad_splitting_scan,
 )
 from .grassmann import (
-    GrassmannBundleDescriptor,
     HeckeRoute,
     check_gr_rational,
     check_map_precondition,
-    gr_total_dim,
     hecke_det_shift,
     parabolic_dim,
 )
@@ -61,19 +54,15 @@ from .serialize import SCHEMA_VERSION, dump, dumps, load, loads, trace_from_dict
 from .types import (
     GenusContext,
     SheafType,
-    SlopeOrder,
     ZERO_TYPE,
     add_types,
     hcf_of_type,
     scale_type,
-    slope_cmp,
 )
 from .weights import (
     WeightedBundleDescriptor,
     fixed_bundle,
     minimal_rank_divisor,
-    rank_divisibility_check,
-    trivial_bundle,
     universal_fiber,
     weight_of_dual,
     weight_of_hom,

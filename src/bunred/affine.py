@@ -26,9 +26,6 @@ class DegreeAffineMap:
         """Composite 'self first, then nxt': (s2,c2) o (s1,c1) = (s2*s1, s2*c1 + c2)."""
         return DegreeAffineMap(nxt.sign * self.sign, nxt.sign * self.shift + nxt.shift)
 
-    def inverse(self) -> DegreeAffineMap:
-        return DegreeAffineMap(self.sign, -self.sign * self.shift)
-
     def describe(self) -> str:
         s = "deg" if self.sign == 1 else "-deg"
         if self.shift > 0:

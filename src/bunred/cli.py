@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .diophantine import solve_lemma
 from .errors import BaseCaseReached, BunredError
@@ -26,24 +25,8 @@ from .reduction import (
     reduce,
     verify_trace,
 )
-from .serialize import dumps, load, trace_to_dict
+from .serialize import dumps, encode_document, load, trace_to_dict
 from .types import GenusContext, SheafType
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of (genus, rank, degree) inputs for a batch certificate run."""
-
-    genus_range: range
-    rank_range: range
-    degree_range: range
-    verify: bool = True
-    emit_traces: bool = False
-
-    def __post_init__(self):
-        # empty ranges are allowed and sweep vacuously (exit 0, empty table)
-        if any(g < 2 for g in self.genus_range):
-            raise BunredError("sweep genus values must be >= 2")
 
 
 def _parse_type(text: str) -> SheafType:
@@ -55,12 +38,14 @@ def _parse_type(text: str) -> SheafType:
 
 
 def _parse_range(text: str) -> range:
-    """'a..b' inclusive, or a single value 'a'."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    """'a..b' inclusive, or a single value 'a'; an argparse type, so a bad
+    range is a usage error."""
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'a..b' or 'a', got {text!r}") from None
     return range(lo, hi + 1)
 
 
@@ -116,29 +101,25 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = trace_to_dict(trace)
         doc["valid"] = report.ok
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(encode_document(doc), args.out)
     else:
         _emit(format_trace_text(trace, report), args.out)
     return 0 if report.ok else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        genus_range=_parse_range(args.genus),
-        rank_range=range(1, args.max_rank + 1),
-        degree_range=_parse_range(args.degree_range),
-        verify=not args.no_verify,
-        emit_traces=args.traces_dir is not None,
-    )
+    # empty ranges are allowed and sweep vacuously (exit 0, empty table)
+    if any(g < 2 for g in args.genus):
+        raise BunredError("sweep genus values must be >= 2")
     rows = []
     all_valid = True
-    for g in spec.genus_range:
+    for g in args.genus:
         ctx = GenusContext(g)
-        for r in spec.rank_range:
-            for d in spec.degree_range:
+        for r in range(1, args.max_rank + 1):
+            for d in args.degree_range:
                 trace = reduce(ctx, SheafType(r, d))
                 valid = True
-                if spec.verify:
+                if not args.no_verify:
                     valid = verify_trace(trace, strict=False).ok
                 all_valid &= valid
                 rows.append(
@@ -152,7 +133,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         "valid": valid,
                     }
                 )
-                if spec.emit_traces:
+                if args.traces_dir is not None:
                     os.makedirs(args.traces_dir, exist_ok=True)
                     name = f"trace_g{g}_r{r}_d{d}.json"
                     with open(os.path.join(args.traces_dir, name), "w", encoding="utf-8") as f:
@@ -280,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("sweep", help="run a grid of reductions and tabulate")
-    p.add_argument("--genus", "-g", required=True, metavar="a|a..b")
+    p.add_argument("--genus", "-g", type=_parse_range, required=True, metavar="a|a..b")
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--degree-range", required=True, metavar="a..b")
+    p.add_argument("--degree-range", type=_parse_range, required=True, metavar="a..b")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--traces-dir", metavar="DIR")
     p.add_argument("--format", choices=("text", "json"), default="text")

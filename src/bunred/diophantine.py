@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BaseCaseReached, InternalInvariantViolation, InvalidArgument, InvalidType
+from .errors import BaseCaseReached, InternalInvariantViolation, InvalidType
 from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
 
 
@@ -126,27 +126,3 @@ def solve_lemma_bruteforce(ctx: GenusContext, t: SheafType) -> LemmaSolution:
         )
     rF, dF = hits[0]
     return _finish(ctx, t, h, rF, dF)
-
-
-def reduction_measure(
-    sol: LemmaSolution | None, t: SheafType
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Exact termination measure (r/h, r1/h1) as reduced integer pairs.
-
-    With sol=None the type must be a base case (rank == hcf) and the measure
-    sits at its floor 1/1.  Otherwise the strict decrease r1*h < r*h1 is
-    checked.
-    """
-    h = hcf_of_type(t)
-    if sol is None:
-        if t.rank != h:
-            raise InvalidArgument(f"{t} is not a base case; pass its solution")
-        return (1, 1), (1, 1)
-    if not sol.r1 * h < t.rank * sol.h1:
-        raise InternalInvariantViolation(f"measure did not strictly decrease for {t}")
-    return _reduced_pair(t.rank, h), _reduced_pair(sol.r1, sol.h1)
-
-
-def _reduced_pair(num: int, den: int) -> tuple[int, int]:
-    g = math.gcd(num, den)
-    return num // g, den // g

@@ -106,12 +106,20 @@ def no_bad_splitting_scan(
     """Enumerate all stability-compatible kernel/cokernel splittings and assert
     chi(tK, tQ) > 0 for every one.
 
-    Splittings are t1 = tK + t, t2 = t + tQ with t.rank >= 1, tK and tQ
-    nonzero, rK >= 1, every degree bounded by degree_bound in absolute value,
-    and the strict slope chain dK/rK < d1/r1 < d/r < d2/r2 (< dQ/rQ when
-    rQ >= 1; rank-zero tQ needs positive degree instead).  Each splitting is
-    also checked against the cross-multiplied chain consequence
-    chi(tK,tQ)*r1*r2 > chi(t1,t2)*rK*rQ.
+    Splittings are t1 = tK + t, t2 = t + tQ with rK = r1 - r >= 1,
+    rQ = r2 - r >= 0, every degree bounded by b = degree_bound in absolute
+    value, and the strict slope chain dK/rK < d1/r1 < d/r < d2/r2 (< dQ/rQ
+    when rQ >= 1).  Cross-multiplied, dK/rK < d1/r1 is the same inequality
+    as d1/r1 < d/r, and d2/r2 < dQ/rQ the same as d/r < d2/r2, which for
+    rQ = 0 already forces dQ >= 1 (a nonzero torsion tQ).  So the splittings
+    are exactly 1 <= r <= min(r1 - 1, r2) with d in the closed-form interval
+
+        max(floor(d1*r/r1) + 1, -b, d1 - b, d2 - b)
+            <= d <= min(ceil(d2*r/r2) - 1, b, d1 + b, d2 + b),
+
+    and the cost is the number of splittings, not the size of the bound.
+    Each splitting is also checked against the cross-multiplied chain
+    consequence chi(tK,tQ)*r1*r2 > chi(t1,t2)*rK*rQ.
 
     A violation raises TheoremContradicted: the enumerated inequality is a
     theorem, so a hit means the scan itself is buggy.
@@ -127,28 +135,14 @@ def no_bad_splitting_scan(
 
     r1, d1 = t1.rank, t1.degree
     r2, d2 = t2.rank, t2.degree
+    b = degree_bound
     examined = 0
-    for r in range(1, min(r1, r2) + 1):
-        for d in range(-degree_bound, degree_bound + 1):
-            rk, dk = r1 - r, d1 - d
-            rq, dq = r2 - r, d2 - d
-            if (rk, dk) == (0, 0) or (rq, dq) == (0, 0):
-                continue
-            if rk < 1:
-                continue  # rank-zero subsheaves of a bundle are zero
-            if rq == 0 and dq < 1:
-                continue  # not a torsion sheaf type
-            if abs(dk) > degree_bound or abs(dq) > degree_bound:
-                continue
-            # strict slope chain, cross-multiplied
-            if not dk * r1 < d1 * rk:
-                continue
-            if not d1 * r < d * r1:
-                continue
-            if not d * r2 < d2 * r:
-                continue
-            if rq >= 1 and not d2 * rq < dq * r2:
-                continue
+    for r in range(1, min(r1 - 1, r2) + 1):
+        lo = max(d1 * r // r1 + 1, -b, d1 - b, d2 - b)
+        hi = min(-(-d2 * r // r2) - 1, b, d1 + b, d2 + b)
+        rk, rq = r1 - r, r2 - r
+        for d in range(lo, hi + 1):
+            dk, dq = d1 - d, d2 - d
             examined += 1
             chi_kq = euler_form(ctx, SheafType(rk, dk), SheafType(rq, dq))
             if chi_kq <= 0:

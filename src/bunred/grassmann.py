@@ -10,7 +10,6 @@ divisibility criterion (hcf(r, d) divides j).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .affine import DegreeAffineMap
 from .errors import InvalidArgument
@@ -23,27 +22,6 @@ class HeckeRoute(enum.Enum):
 
     HECKE1 = 1  # over the degree-d side: Grassmannian of the dual universal fibre
     HECKE2 = 2  # over the degree-(d-m) side: Grassmannian of the universal fibre
-
-
-@dataclass(frozen=True)
-class GrassmannBundleDescriptor:
-    base_dim: int
-    j: int
-    bundle_rank: int
-    bundle_weight: int
-
-    def __post_init__(self):
-        if self.base_dim < 0:
-            raise InvalidArgument(f"base dimension must be >= 0, got {self.base_dim}")
-        if not 0 <= self.j <= self.bundle_rank:
-            raise InvalidArgument(
-                f"need 0 <= j <= bundle rank, got j={self.j}, rank={self.bundle_rank}"
-            )
-
-
-def gr_total_dim(d: GrassmannBundleDescriptor) -> int:
-    """Total dimension: base dimension plus the fibre dimension j*(rank - j)."""
-    return d.base_dim + d.j * (d.bundle_rank - d.j)
 
 
 def parabolic_dim(

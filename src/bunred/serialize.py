@@ -168,9 +168,14 @@ def _node_from_dict(doc: Any, t: SheafType, loc: str) -> StepNode:
     )
 
 
+def encode_document(doc: dict[str, Any]) -> str:
+    """The document encoding: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dumps(trace: ReductionTrace) -> str:
     """Deterministic serialization; byte-stable under round trips."""
-    return json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
+    return encode_document(trace_to_dict(trace))
 
 
 def loads(text: str) -> ReductionTrace:

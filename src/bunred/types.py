@@ -6,7 +6,6 @@ so no overflow bounds are enforced anywhere.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -59,12 +58,6 @@ def require_genus_ge_2(ctx: GenusContext) -> None:
         raise DomainError(f"genus must be >= 2, got {ctx.genus}")
 
 
-class SlopeOrder(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 def add_types(a: SheafType, b: SheafType) -> SheafType:
     """Componentwise sum of two sheaf types."""
     return SheafType(a.rank + b.rank, a.degree + b.degree)
@@ -86,19 +79,3 @@ def hcf_of_type(t: SheafType) -> int:
     if t.rank < 1:
         raise InvalidType(f"hcf needs rank >= 1, got {t}")
     return math.gcd(t.rank, t.degree)
-
-
-def slope_cmp(a: SheafType, b: SheafType) -> SlopeOrder:
-    """Exact comparison of the slopes d_a/r_a and d_b/r_b.
-
-    Uses cross-multiplication (ranks are positive), never floating point.
-    """
-    if a.rank < 1 or b.rank < 1:
-        raise InvalidType(f"slope comparison needs positive ranks, got {a} and {b}")
-    lhs = a.degree * b.rank
-    rhs = b.degree * a.rank
-    if lhs < rhs:
-        return SlopeOrder.LESS
-    if lhs > rhs:
-        return SlopeOrder.GREATER
-    return SlopeOrder.EQUAL

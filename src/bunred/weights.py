@@ -38,11 +38,6 @@ class WeightedBundleDescriptor:
             raise InvalidArgument(f"bundle rank must be >= 0, got {self.rank}")
 
 
-def trivial_bundle(base: SheafType, rank: int) -> WeightedBundleDescriptor:
-    """Constant trivial bundle; scalar automorphisms act trivially (weight 0)."""
-    return WeightedBundleDescriptor(f"O^{rank}", base, rank, 0)
-
-
 def universal_fiber(base: SheafType) -> WeightedBundleDescriptor:
     """Fibre of the universal bundle at a fixed curve point: rank = base rank, weight 1."""
     return WeightedBundleDescriptor("univ_fiber", base, base.rank, 1)
@@ -107,14 +102,3 @@ def minimal_rank_divisor(
             f"hcf over scanned witness ranks is {acc}, expected {h}"
         )
     return h, (r, first_witness)
-
-
-def rank_divisibility_check(minimal_rank: int, observed_rank: int) -> bool:
-    """True iff minimal_rank divides observed_rank.
-
-    Numerical shadow of 'every bundle of this weight is generically a direct
-    sum of copies of the minimal one'.
-    """
-    if minimal_rank < 1:
-        raise InvalidArgument(f"minimal rank must be >= 1, got {minimal_rank}")
-    return observed_rank % minimal_rank == 0

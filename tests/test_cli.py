@@ -138,3 +138,25 @@ def test_out_file(tmp_path, capsys):
     path = tmp_path / "out.txt"
     assert main(["reduce", "-g", "2", "-r", "2", "-d", "1", "--out", str(path)]) == 0
     assert "certificate VALID" in path.read_text()
+
+
+def test_reduce_json_uses_document_encoding(capsys):
+    assert main(["reduce", "-g", "2", "-r", "6", "-d", "4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad", [["--genus", "x", "--degree-range=0..1"], ["--genus", "2", "--degree-range=1..a"]]
+)
+def test_sweep_bad_range_is_usage_error(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-rank", "2", *bad])
+    assert exc.value.code == 2
+    assert "expected 'a..b' or 'a'" in capsys.readouterr().err
+
+
+def test_sweep_low_genus_is_domain_error(capsys):
+    # checked before the loop, so an empty rank range still reports it
+    assert main(["sweep", "--genus", "1", "--max-rank", "0", "--degree-range=0..0"]) == 1
+    assert "sweep genus values must be >= 2" in capsys.readouterr().err

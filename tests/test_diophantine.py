@@ -6,12 +6,10 @@ from bunred import (
     BaseCaseReached,
     DomainError,
     GenusContext,
-    InvalidArgument,
     InvalidType,
     LemmaSolution,
     SheafType,
     euler_form,
-    reduction_measure,
     solve_lemma,
     solve_lemma_bruteforce,
 )
@@ -67,16 +65,6 @@ def test_domain_errors():
         solve_lemma(GenusContext(1), SheafType(2, 1))
 
 
-def test_reduction_measure():
-    sol = solve_lemma(G2, SheafType(2, 1))
-    assert reduction_measure(sol, SheafType(2, 1)) == ((2, 1), (1, 1))
-    sol = solve_lemma(G2, SheafType(4, 2))
-    assert reduction_measure(sol, SheafType(4, 2)) == ((2, 1), (1, 1))
-    assert reduction_measure(None, SheafType(3, 0)) == ((1, 1), (1, 1))
-    with pytest.raises(InvalidArgument):
-        reduction_measure(None, SheafType(2, 1))
-
-
 def test_measure_strictly_decreases_on_grid():
     for g in range(2, 4):
         ctx = GenusContext(g)
@@ -85,6 +73,5 @@ def test_measure_strictly_decreases_on_grid():
                 if math.gcd(r, d) == r:
                     continue
                 sol = solve_lemma(ctx, SheafType(r, d))
-                (bn, bd), (an, ad) = reduction_measure(sol, SheafType(r, d))
-                assert an * bd < bn * ad
+                assert sol.r1 * sol.h < r * sol.h1  # r1/h1 < r/h
                 assert sol.h1 % sol.h == 0 and 0 < sol.r1 < r

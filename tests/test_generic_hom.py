@@ -109,6 +109,8 @@ def test_scan_examples():
     assert rep.violations == 0
     rep = no_bad_splitting_scan(G2, SheafType(3, -2), SheafType(2, 1), 0)
     assert rep.examined == 0 and rep.violations == 0
+    # r = r2 leaves a torsion cokernel: the one splitting is tK = (1,-1), tQ = (0,1)
+    assert no_bad_splitting_scan(G2, SheafType(2, -1), SheafType(1, 1), 5).examined == 1
 
 
 def test_scan_hypothesis():
@@ -127,3 +129,60 @@ def test_scan_randomized():
             continue
         assert no_bad_splitting_scan(ctx, t1, t2, 15).violations == 0
         done += 1
+
+
+def _scan_reference(t1, t2, bound):
+    """Count of the splittings kept by the direct filter loop over every degree
+    in [-bound, bound]: the reference for the scan's closed-form interval."""
+    r1, d1 = t1.rank, t1.degree
+    r2, d2 = t2.rank, t2.degree
+    examined = 0
+    for r in range(1, min(r1, r2) + 1):
+        for d in range(-bound, bound + 1):
+            rk, dk = r1 - r, d1 - d
+            rq, dq = r2 - r, d2 - d
+            if (rk, dk) == (0, 0) or (rq, dq) == (0, 0):
+                continue
+            if rk < 1:
+                continue
+            if rq == 0 and dq < 1:
+                continue
+            if abs(dk) > bound or abs(dq) > bound:
+                continue
+            if not dk * r1 < d1 * rk:
+                continue
+            if not d1 * r < d * r1:
+                continue
+            if not d * r2 < d2 * r:
+                continue
+            if rq >= 1 and not d2 * rq < dq * r2:
+                continue
+            examined += 1
+    return examined
+
+
+def test_scan_matches_filter_loop_on_grid():
+    # covers bound 0, r1 = 1 (no kernel rank left) and r2 < r1 (rank-zero tQ)
+    cases = examined = 0
+    for g in (2, 3):
+        ctx = GenusContext(g)
+        for r1 in range(1, 6):
+            for r2 in range(1, 6):
+                for d1 in range(-6, 7):
+                    for d2 in range(-6, 7):
+                        t1, t2 = SheafType(r1, d1), SheafType(r2, d2)
+                        if euler_form(ctx, t1, t2) < 0:
+                            continue
+                        for bound in (0, 2, 7, 15):
+                            rep = no_bad_splitting_scan(ctx, t1, t2, bound)
+                            assert rep.examined == _scan_reference(t1, t2, bound), (g, t1, t2, bound)
+                            cases += 1
+                            examined += rep.examined
+    assert cases > 5000 and examined > 5000
+
+
+def test_scan_cost_does_not_grow_with_bound():
+    # the slope chain confines d to a short interval, so the cost follows the
+    # 48 splittings, not the 4*10^5 + 1 degrees within the bound
+    rep = no_bad_splitting_scan(G2, SheafType(5, -12), SheafType(5, 12), 2 * 10**5)
+    assert rep.examined == 48 and rep.violations == 0

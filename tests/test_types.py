@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,12 +6,10 @@ from bunred import (
     InvalidArgument,
     InvalidType,
     SheafType,
-    SlopeOrder,
     ZERO_TYPE,
     add_types,
     hcf_of_type,
     scale_type,
-    slope_cmp,
 )
 
 
@@ -56,14 +53,6 @@ def test_hcf_sign_convention():
         assert hcf_of_type(SheafType(r, d)) == hcf_of_type(SheafType(r, -d)) > 0
 
 
-def test_slope_examples():
-    assert slope_cmp(SheafType(1, -3), SheafType(2, 1)) is SlopeOrder.LESS
-    assert slope_cmp(SheafType(2, 4), SheafType(1, 2)) is SlopeOrder.EQUAL
-    assert slope_cmp(SheafType(3, -2), SheafType(2, -3)) is SlopeOrder.GREATER
-    with pytest.raises(InvalidType):
-        slope_cmp(SheafType(0, 1), SheafType(1, 1))
-
-
 def _random_type(rng, max_rank=20, max_deg=40):
     r = rng.randint(0, max_rank)
     d = rng.randint(0, max_deg) if r == 0 else rng.randint(-max_deg, max_deg)
@@ -89,20 +78,3 @@ def test_hcf_divides_and_scales():
         assert t.rank % h == 0 and t.degree % h == 0
         n = rng.randint(1, 6)
         assert hcf_of_type(scale_type(n, t)) == n * h
-
-
-def test_slope_cmp_matches_exact_rationals():
-    rng = random.Random(9)
-    for _ in range(500):
-        a = SheafType(rng.randint(1, 15), rng.randint(-30, 30))
-        b = SheafType(rng.randint(1, 15), rng.randint(-30, 30))
-        sa, sb = Fraction(a.degree, a.rank), Fraction(b.degree, b.rank)
-        expected = (
-            SlopeOrder.LESS if sa < sb else SlopeOrder.GREATER if sa > sb else SlopeOrder.EQUAL
-        )
-        assert slope_cmp(a, b) is expected
-        # antisymmetry up to EQUAL
-        flipped = slope_cmp(b, a)
-        assert (slope_cmp(a, b) is SlopeOrder.EQUAL) == (flipped is SlopeOrder.EQUAL)
-        if slope_cmp(a, b) is SlopeOrder.LESS:
-            assert flipped is SlopeOrder.GREATER

@@ -9,12 +9,10 @@ from bunred import (
     CertificateInvalid,
     DegreeAffineMap,
     GenusContext,
-    InternalInvariantViolation,
     InvalidArgument,
     LemmaSolution,
     SheafType,
     reduce,
-    reduction_measure,
     verify_trace,
 )
 
@@ -117,9 +115,3 @@ def test_genus_context_validates():
     with pytest.raises(InvalidArgument):
         GenusContext(-1)
     GenusContext(0)
-
-
-def test_reduction_measure_rejects_corrupt_solution():
-    sol = LemmaSolution(rF=3, dF=-2, r1=5, d1=-3, h=1, h1=1)  # r1 too big
-    with pytest.raises(InternalInvariantViolation):
-        reduction_measure(sol, SheafType(2, 1))

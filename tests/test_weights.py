@@ -6,14 +6,11 @@ from bunred import (
     BaseMismatch,
     DomainError,
     GenusContext,
-    InvalidArgument,
     InvalidType,
     SheafType,
     WeightedBundleDescriptor,
     fixed_bundle,
     minimal_rank_divisor,
-    rank_divisibility_check,
-    trivial_bundle,
     universal_fiber,
     weight_of_dual,
     weight_of_hom,
@@ -27,7 +24,7 @@ def test_dual_weights():
     univ = universal_fiber(BASE)
     assert univ.weight == 1 and univ.rank == 2
     assert weight_of_dual(univ).weight == -1
-    assert weight_of_dual(trivial_bundle(BASE, 3)).weight == 0
+    assert weight_of_dual(fixed_bundle("F", BASE, 3)).weight == 0
 
 
 def test_dual_is_involution_on_weights():
@@ -78,14 +75,6 @@ def test_minimal_rank_divisor_domain():
         minimal_rank_divisor(G2, SheafType(0, 3))
     with pytest.raises(DomainError):
         minimal_rank_divisor(GenusContext(1), SheafType(2, 1))
-
-
-def test_rank_divisibility_check():
-    assert rank_divisibility_check(1, 4)
-    assert rank_divisibility_check(2, 8)
-    assert not rank_divisibility_check(2, 3)
-    with pytest.raises(InvalidArgument):
-        rank_divisibility_check(0, 4)
 
 
 def test_witness_scan_matches_direct_hcf():
