@@ -29,12 +29,17 @@ from .serialize import dumps, encode_document, load, trace_to_dict
 from .types import GenusContext, SheafType
 
 
-def _parse_type(text: str) -> SheafType:
+def _parse_pair(text: str) -> tuple[int, int]:
+    """'rank,degree' as two ints; an argparse type, so a malformed pair is a
+    usage error.  The commands build the SheafType, so a pair that is not a
+    sheaf type (negative rank) stays a domain error."""
     try:
         rank_s, degree_s = text.split(",")
-        return SheafType(int(rank_s), int(degree_s))
-    except ValueError as exc:
-        raise BunredError(f"expected a type as 'rank,degree', got {text!r}") from exc
+        return int(rank_s), int(degree_s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a type as 'rank,degree', got {text!r}"
+        ) from None
 
 
 def _parse_range(text: str) -> range:
@@ -179,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_chi(args: argparse.Namespace) -> int:
     ctx = GenusContext(args.genus)
-    t1, t2 = _parse_type(args.t1), _parse_type(args.t2)
+    t1, t2 = SheafType(*args.t1), SheafType(*args.t2)
     value = euler_form(ctx, t1, t2)
     if args.format == "json":
         _emit(json.dumps({"genus": args.genus, "t1": str(t1), "t2": str(t2), "chi": value}) + "\n",
@@ -210,7 +215,7 @@ def _cmd_solve_lemma(args: argparse.Namespace) -> int:
 
 def _cmd_generic_hom(args: argparse.Namespace) -> int:
     ctx = GenusContext(args.genus)
-    t1, t2 = _parse_type(args.t1), _parse_type(args.t2)
+    t1, t2 = SheafType(*args.t1), SheafType(*args.t2)
     rep = generic_hom(ctx, t1, t2)
     if not rep.covered:
         _emit(f"hom({t1}, {t2}; g={args.genus}): not covered (chi < 0)\n", args.out)
@@ -227,7 +232,7 @@ def _cmd_generic_hom(args: argparse.Namespace) -> int:
 
 def _cmd_scan_splittings(args: argparse.Namespace) -> int:
     ctx = GenusContext(args.genus)
-    t1, t2 = _parse_type(args.t1), _parse_type(args.t2)
+    t1, t2 = SheafType(*args.t1), SheafType(*args.t2)
     rep = no_bad_splitting_scan(ctx, t1, t2, args.bound)
     _emit(
         f"scan({t1}, {t2}; g={args.genus}, bound={args.bound}): "
@@ -251,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rank", "-r", type=int, required=True)
             p.add_argument("--degree", "-d", type=int, required=True)
         if with_type:
-            p.add_argument("--t1", required=True, metavar="r,d")
-            p.add_argument("--t2", required=True, metavar="r,d")
+            p.add_argument("--t1", type=_parse_pair, required=True, metavar="r,d")
+            p.add_argument("--t2", type=_parse_pair, required=True, metavar="r,d")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE")
 

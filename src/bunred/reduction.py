@@ -337,6 +337,10 @@ def _verify_node(results: list[CheckResult], g: int, node: StepNode, path: str) 
         lambda: h <= sol.h1 <= node.rkV,
         lambda: f"j={h}, rkW={sol.h1}, rkV={node.rkV} with weights -1/-1 fails j <= rkW <= rkV",
     )
+    # The paper's divisibility condition for the Hecke Grassmannian over
+    # (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
+    # restates the paper and can fail only as "not evaluable" (h1 <= 0, when
+    # (h1, -h) is not a sheaf type).
     _check(
         results,
         path,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .affine import DegreeAffineMap
@@ -168,9 +169,75 @@ def _node_from_dict(doc: Any, t: SheafType, loc: str) -> StepNode:
     )
 
 
+def _scalar(value: Any) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def encode_document(doc: dict[str, Any]) -> str:
-    """The document encoding: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document encoding: sorted keys, two-space indent, trailing newline.
+
+    The bytes equal ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+    With an indent, ``json`` runs its pure-Python encoder, whose generators
+    nest once per level and pass every piece up through all of them, so its
+    cost grows with depth times size.  This writer walks the tree with an
+    explicit stack instead: its cost is linear in the output, and no depth
+    meets the recursion limit.
+    """
+    parts: list[str] = []
+    # breaks[k]: a line break and k levels of indent, one string shared by
+    # every line at that level
+    breaks = ["\n"]
+    # Popped from the end: a str is written as is, a pair is (value, depth).
+    todo: list[Any] = [(doc, 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        value, depth = item
+        if not isinstance(value, (dict, list)):
+            parts.append(_scalar(value))
+            continue
+        is_dict = isinstance(value, dict)
+        if not value:
+            parts.append("{}" if is_dict else "[]")
+            continue
+        depth += 1
+        if depth == len(breaks):
+            breaks.append(breaks[-1] + "  ")
+        indent = breaks[depth]
+        todo.append("}" if is_dict else "]")
+        todo.append(breaks[depth - 1])
+        members = sorted(value) if is_dict else value
+        for i in range(len(members) - 1, -1, -1):
+            if is_dict:
+                key = members[i]
+                member = value[key]
+                head = _quote(key) + ": "
+            else:
+                member = members[i]
+                head = ""
+            if isinstance(member, (dict, list)):
+                todo.append((member, depth))
+                todo.append(head)
+            else:
+                todo.append(head + _scalar(member))
+            todo.append(indent)
+            if i:
+                todo.append(",")
+        parts.append("{" if is_dict else "[")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def dumps(trace: ReductionTrace) -> str:
@@ -180,10 +247,12 @@ def dumps(trace: ReductionTrace) -> str:
 
 def loads(text: str) -> ReductionTrace:
     try:
-        doc = json.loads(text)
+        return trace_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"$ (offset {exc.pos})", exc.msg) from exc
-    return trace_from_dict(doc)
+    except RecursionError:
+        # from json.loads or trace_from_dict, both one frame per nesting level
+        raise ParseError("$", "document nested too deeply") from None
 
 
 def dump(trace: ReductionTrace, path: str) -> None:

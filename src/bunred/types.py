@@ -1,7 +1,11 @@
 """Exact integer domain types: sheaf types, genus context, basic arithmetic.
 
 All arithmetic in this package is on Python integers (arbitrary precision),
-so no overflow bounds are enforced anywhere.
+so nothing overflows.  Two size ceilings remain: the recursive walks of
+`reduce` and `verify_trace` (depth about 1.4 per decimal digit of the rank)
+raise RecursionError at roughly 1,000 rank digits, and `serialize.dumps`
+and `serialize.loads` raise ValueError on an integer of more than 4,300
+digits (Python's int-to-str limit, `sys.get_int_max_str_digits`).
 """
 
 from __future__ import annotations

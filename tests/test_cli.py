@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,8 +134,15 @@ def test_scan_splittings(capsys):
 
 
 def test_bad_type_argument(capsys):
-    assert main(["chi", "-g", "2", "--t1", "nope", "--t2", "2,1"]) == 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "-g", "2", "--t1", "nope", "--t2", "2,1"])
+    assert exc.value.code == 2
+    assert "expected a type as 'rank,degree', got 'nope'" in capsys.readouterr().err
+
+
+def test_type_that_is_not_a_sheaf_type_is_domain_error(capsys):
+    assert main(["chi", "-g", "2", "--t1=-1,2", "--t2", "2,1"]) == 1
+    assert "error: rank must be >= 0" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):
@@ -160,3 +171,39 @@ def test_sweep_low_genus_is_domain_error(capsys):
     # checked before the loop, so an empty rank range still reports it
     assert main(["sweep", "--genus", "1", "--max-rank", "0", "--degree-range=0..0"]) == 1
     assert "sweep genus values must be >= 2" in capsys.readouterr().err
+
+
+def _mu1_chain(depth):
+    """A trace document whose root has `depth` composite mu1 ancestors of a
+    base node, written compactly (indented, it would take ~450 MB)."""
+    base = '{"kind": "base", "rank": 1, "degree": 0, "twist_degree": 0}'
+    composite = ('{"kind": "composite", "rF": 1, "dF": 0, "r1": 1, "d1": 0, "h1": 1, '
+                 '"rkV": 1, "rho_affine": 0, "hecke_affine": 0, "det_maps": [], '
+                 f'"mu2": {base}, "mu1": ')
+    root = composite * depth + base + "}" * depth
+    return ('{"version": 1, "genus": 2, "input": {"rank": 1, "degree": 0}, "h": 1, '
+            '"total_affine_dim": 0, "composite_det": {"sign": 1, "shift": 0}, '
+            f'"root": {root}}}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 5000 + "]" * 5000,
+        _mu1_chain(5000),
+    ],
+    ids=["array", "mu1_chain"],
+)
+def test_verify_deeply_nested_document_is_an_error(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bunred", "verify", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "error: $: document nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -15,6 +17,8 @@ from bunred import (
     trace_to_dict,
     verify_trace,
 )
+from bunred import serialize
+from bunred.serialize import encode_document
 
 
 def _traces():
@@ -105,3 +109,84 @@ def test_schema_shape_is_stable():
     assert doc["root"]["kind"] == "composite"
     assert set(doc["root"]["mu1"]) == {"kind", "rank", "degree", "twist_degree"}
     assert json.loads(dumps(reduce(GenusContext(2), SheafType(2, 1)))) == doc
+
+
+def _stdlib(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_encoder_matches_stdlib_on_grid():
+    for g in (2, 3, 4):
+        ctx = GenusContext(g)
+        for r in range(1, 13):
+            for d in range(-12, 13):
+                doc = trace_to_dict(reduce(ctx, SheafType(r, d)))
+                assert encode_document(doc) == _stdlib(doc)
+                doc["valid"] = d % 2 == 0
+                assert encode_document(doc) == _stdlib(doc)
+
+
+@pytest.mark.parametrize("digits,valid", [(100, True), (300, None)])
+def test_encoder_matches_stdlib_on_big_ranks(digits, valid):
+    # the stdlib oracle takes ~2 s on a 300-digit trace, so each runs once
+    rng = random.Random(digits)
+    r = rng.randrange(10 ** (digits - 1), 10**digits)
+    d = rng.randrange(-(10**digits), 10**digits)
+    doc = trace_to_dict(reduce(GenusContext(rng.randrange(2, 5)), SheafType(r, d)))
+    if valid is not None:
+        doc["valid"] = valid
+    assert encode_document(doc) == _stdlib(doc)
+
+
+def test_encoder_matches_stdlib_on_random_values():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(min_value=-(10**300), max_value=10**300)
+        | st.text()
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=40,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert encode_document(value) == _stdlib(value)
+
+    check()
+
+
+def test_encoder_has_no_depth_limit():
+    depth = 10_000
+    doc = {}
+    for _ in range(depth):
+        doc = {"a": doc}
+    out = encode_document(doc)
+    # indented, the text is ~200 MB, so the expected one is compared in pieces
+    pieces = itertools.chain(
+        ["{"],
+        ("\n" + "  " * k + '"a": {' for k in range(1, depth + 1)),
+        ["}"],
+        ("\n" + "  " * k + "}" for k in range(depth - 1, -1, -1)),
+        ["\n"],
+    )
+    pos = 0
+    for piece in pieces:
+        assert out.startswith(piece, pos)
+        pos += len(piece)
+    assert pos == len(out)
+
+
+def test_recursion_in_trace_from_dict_is_parse_error(monkeypatch):
+    def too_deep(doc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(serialize, "trace_from_dict", too_deep)
+    with pytest.raises(ParseError, match=r"^\$: document nested too deeply$"):
+        loads(dumps(reduce(GenusContext(2), SheafType(2, 1))))

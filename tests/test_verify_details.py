@@ -132,3 +132,31 @@ def test_passing_checks_format_nothing(monkeypatch):
     assert report.ok and len(report.checks) > 40
     assert all(c.detail == "" for c in report.checks)
     assert calls == []
+
+
+def _root_h1(trace, h1):
+    return replace(trace, root=replace(trace.root, sol=replace(trace.root.sol, h1=h1)))
+
+
+HECKE_TRACES = [
+    TRACE,
+    reduce(GenusContext(2), SheafType(6, 4)),
+    reduce(GenusContext(3), SheafType(9, 6)),
+]
+
+
+@pytest.mark.parametrize("h1", [1, 2, 3, 4, 6, 9, 10**40 + 1])
+def test_hecke_divisibility_passes_for_every_positive_h1(h1):
+    # hcf(h1, h) divides h for every h1 >= 1, however wrong h1 is elsewhere
+    for trace in HECKE_TRACES:
+        report = verify_trace(_root_h1(trace, h1), strict=False)
+        assert "hecke_divisibility" not in report.failed_names()
+
+
+@pytest.mark.parametrize("h1", [0, -1, -6])
+def test_hecke_divisibility_fails_only_as_not_evaluable(h1):
+    for trace in HECKE_TRACES:
+        report = verify_trace(_root_h1(trace, h1), strict=False)
+        hecke = [c for c in report.failures() if c.name == "hecke_divisibility"]
+        assert [c.path for c in hecke] == ["root"]
+        assert hecke[0].detail.startswith("not evaluable: ")
