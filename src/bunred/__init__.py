@@ -3,7 +3,7 @@ bundles on curves: Euler-form arithmetic, weight bookkeeping, the
 window-equation solver, the recursive reduction tree, and an independent
 certificate verifier."""
 
-from .affine import DegreeAffineMap, IDENTITY_MAP, compose_det
+from .affine import DegreeAffineMap, compose_det
 from .diophantine import LemmaSolution, solve_lemma, solve_lemma_bruteforce
 from .errors import (
     BaseCaseReached,

@@ -22,10 +22,6 @@ class DegreeAffineMap:
     def apply(self, degree: int) -> int:
         return self.sign * degree + self.shift
 
-    def then(self, nxt: DegreeAffineMap) -> DegreeAffineMap:
-        """Composite 'self first, then nxt': (s2,c2) o (s1,c1) = (s2*s1, s2*c1 + c2)."""
-        return DegreeAffineMap(nxt.sign * self.sign, nxt.sign * self.shift + nxt.shift)
-
     def describe(self) -> str:
         s = "deg" if self.sign == 1 else "-deg"
         if self.shift > 0:
@@ -35,12 +31,13 @@ class DegreeAffineMap:
         return s
 
 
-IDENTITY_MAP = DegreeAffineMap(1, 0)
-
-
 def compose_det(maps: Iterable[DegreeAffineMap]) -> DegreeAffineMap:
-    """Left-to-right composition; the first map in the sequence acts first."""
-    out = IDENTITY_MAP
+    """Left-to-right composition; the first map in the sequence acts first.
+
+    (s1,c1) followed by (s2,c2) is (s2*s1, s2*c1 + c2); the pairs are folded
+    as plain integers and one map is built at the end.
+    """
+    sign, shift = 1, 0
     for m in maps:
-        out = out.then(m)
-    return out
+        sign, shift = m.sign * sign, m.sign * shift + m.shift
+    return DegreeAffineMap(sign, shift)

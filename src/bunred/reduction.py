@@ -18,19 +18,28 @@ at degree 0.
 
 verify_trace() re-derives every number in the certificate from first
 principles and reports each named check as pass/fail; nothing is trusted
-from the construction.  A check's failure detail is formatted only when the
-check fails, so a passing certificate costs no string formatting.
+from the construction, and nothing is cached.  It makes one pre-order pass
+over the tree with an explicit stack (a node's own checks, then its mu1
+subtree, then its mu2 subtree), so its depth is not bounded by the recursion
+limit; node_affine_total and node_depth walk level by level for the same
+reason.  The checks are module-level tables of plain functions; a check's
+failure detail is formatted only when the check fails, so a passing
+certificate costs no string formatting.
+
+reduce() itself still recurses, one frame per tree level, and refuses a tree
+deeper than the recursion limit allows with a DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .affine import DegreeAffineMap, compose_det
 from .diophantine import LemmaSolution, solve_lemma
-from .errors import CertificateInvalid, InvalidType
+from .errors import CertificateInvalid, DomainError, InvalidType
 from .euler import euler_form
 from .grassmann import check_gr_rational, hecke_det_shift
 from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
@@ -80,20 +89,32 @@ def node_composite_det(node: StepNode) -> DegreeAffineMap:
 
 def node_affine_total(node: StepNode) -> int:
     """Sum of the affine dimensions contributed by the subtree."""
-    if isinstance(node, BaseStep):
-        return 0
-    return (
-        node.rho_affine
-        + node.hecke_affine
-        + node_affine_total(node.mu1)
-        + node_affine_total(node.mu2)
-    )
+    total = 0
+    level = [node]
+    while level:
+        below = []
+        for node in level:
+            if not isinstance(node, BaseStep):
+                total += node.rho_affine + node.hecke_affine
+                below.append(node.mu1)
+                below.append(node.mu2)
+        level = below
+    return total
 
 
 def node_depth(node: StepNode) -> int:
-    if isinstance(node, BaseStep):
-        return 1
-    return 1 + max(node_depth(node.mu1), node_depth(node.mu2))
+    """Number of levels of the subtree."""
+    depth = 0
+    level = [node]
+    while level:
+        depth += 1
+        below = []
+        for node in level:
+            if not isinstance(node, BaseStep):
+                below.append(node.mu1)
+                below.append(node.mu2)
+        level = below
+    return depth
 
 
 def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
@@ -106,7 +127,15 @@ def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
     require_genus_ge_2(ctx)
     if t.rank < 1:
         raise InvalidType(f"reduction needs rank >= 1, got {t}")
-    root = _reduce_node(ctx, t)
+    try:
+        root = _reduce_node(ctx, t)
+    except RecursionError:
+        raise DomainError(
+            "the reduction tree is deeper than the recursion limit "
+            f"({sys.getrecursionlimit()}) allows: reduce takes one stack frame per "
+            "level, and a typical tree has about 1.5 levels per decimal digit of "
+            "the rank, so most ranks of more than about 600 digits are out of range"
+        ) from None
     return ReductionTrace(
         genus=ctx.genus,
         input=t,
@@ -149,8 +178,7 @@ def _reduce_node(ctx: GenusContext, t: SheafType) -> StepNode:
 # Verification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     path: str
     name: str
     passed: bool
@@ -172,21 +200,181 @@ class VerificationReport:
         return {c.name for c in self.checks if not c.passed}
 
 
-def _check(results: list[CheckResult], path: str, name: str, predicate, detail) -> bool:
-    """Record one named check.  detail() formats the failure note and runs only
-    when the check fails.
+# The named checks, in report order, as (name, holds, explain).  Both
+# functions take the same arguments; explain formats the failure note and
+# runs only when holds is false.
+
+# Trace-level checks on (trace).
+_TRACE_DOMAIN_CHECKS = (
+    ("genus_domain", lambda tr: tr.genus >= 2, lambda tr: f"genus {tr.genus} < 2"),
+    (
+        "input_domain",
+        lambda tr: tr.input.rank >= 1,
+        lambda tr: f"input {tr.input} has rank 0",
+    ),
+)
+_TRACE_HEAD_CHECKS = (
+    (
+        "input_hcf",
+        lambda tr: tr.h == hcf_of_type(tr.input),
+        lambda tr: f"stored h={tr.h}, recomputed {math.gcd(tr.input.rank, tr.input.degree)}",
+    ),
+    (
+        "root_type",
+        lambda tr: tr.root.t == tr.input,
+        lambda tr: f"root type {tr.root.t} != input {tr.input}",
+    ),
+)
+
+# Trace-level checks on (trace, node sum of affine dimensions, (g-1)(r^2-h^2),
+# recomputed composite determinant map).
+_TRACE_TAIL_CHECKS = (
+    (
+        "total_affine_dim",
+        lambda tr, total, expected, det: tr.total_affine_dim == total == expected,
+        lambda tr, total, expected, det: f"stored {tr.total_affine_dim}, node sum {total}, "
+        f"(g-1)(r^2-h^2) = {expected}",
+    ),
+    (
+        "composite_det",
+        lambda tr, total, expected, det: tr.composite_det == det,
+        lambda tr, total, expected, det: f"stored {tr.composite_det}, recomputed {det}",
+    ),
+    (
+        "det_sends_to_zero",
+        lambda tr, total, expected, det: det.apply(tr.input.degree) == 0,
+        lambda tr, total, expected, det: f"composite sends {tr.input.degree} to "
+        f"{det.apply(tr.input.degree)}",
+    ),
+)
+
+# Checks on (type) of every node; the node's other checks need it to pass.
+_NODE_DOMAIN_CHECKS = (
+    ("node_type_domain", lambda t: t.rank >= 1, lambda t: f"type {t} has rank 0"),
+)
+
+# Checks on (node, r, d, h) of a base step, (r, d) its type and h = hcf(r, d).
+_BASE_CHECKS = (
+    ("base_rank", lambda n, r, d, h: r == h, lambda n, r, d, h: f"rank {r} != hcf {h}"),
+    (
+        "base_twist",
+        lambda n, r, d, h: d % r == 0 and n.twist_degree == -(d // r),
+        lambda n, r, d, h: f"twist {n.twist_degree} does not send degree {d} to 0",
+    ),
+)
+
+# Checks on (ctx, node, sol, r, d, h) of a composite step, sol its window
+# solution, (r, d) its type and h = hcf(r, d).
+_COMPOSITE_CHECKS = (
+    (
+        "euler_equation",
+        lambda ctx, n, s, r, d, h: (1 - ctx.genus) * s.rF * r + s.rF * d - r * s.dF == h,
+        lambda ctx, n, s, r, d, h: f"(1-g)*{s.rF}*{r} + {s.rF}*{d} - {r}*{s.dF} != {h}",
+    ),
+    (
+        "rank_window",
+        lambda ctx, n, s, r, d, h: r < h * s.rF < 2 * r,
+        lambda ctx, n, s, r, d, h: f"h*rF = {h * s.rF} outside ({r}, {2 * r})",
+    ),
+    (
+        "reduced_type",
+        lambda ctx, n, s, r, d, h: s.r1 == h * s.rF - r and s.d1 == h * s.dF - d,
+        lambda ctx, n, s, r, d, h: f"stored (r1,d1)=({s.r1},{s.d1}), "
+        f"expected ({h * s.rF - r},{h * s.dF - d})",
+    ),
+    (
+        "solution_hcf",
+        lambda ctx, n, s, r, d, h: s.h == h and s.h1 == math.gcd(s.r1, s.d1) and s.h1 % h == 0,
+        lambda ctx, n, s, r, d, h: f"stored h={s.h}, h1={s.h1}; "
+        f"recomputed h={h}, h1={math.gcd(s.r1, s.d1)}",
+    ),
+    (
+        "measure_decrease",
+        lambda ctx, n, s, r, d, h: s.r1 * h < r * s.h1,
+        lambda ctx, n, s, r, d, h: f"r1/h1 = {s.r1}/{s.h1} not < r/h = {r}/{h}",
+    ),
+    (
+        "hom_bundle_rank",
+        lambda ctx, n, s, r, d, h: n.rkV
+        == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF)),
+        lambda ctx, n, s, r, d, h: f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))",
+    ),
+    # The graph map goes from Gr_h of V = Hom(universal fibre over (r1,d1), F)
+    # to Gr_h of the dual universal fibre W over (h1,0).  Both have weight -1
+    # (0 - 1 and -(1)), whatever the types, so of the criterion "equal weights
+    # and j <= rk W <= rk V" only the rank chain is left to check.
+    (
+        "graph_map_precondition",
+        lambda ctx, n, s, r, d, h: h <= s.h1 <= n.rkV,
+        lambda ctx, n, s, r, d, h: f"j={h}, rkW={s.h1}, rkV={n.rkV} "
+        "with weights -1/-1 fails j <= rkW <= rkV",
+    ),
+    # The paper's divisibility condition for the Hecke Grassmannian over
+    # (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
+    # restates the paper and can fail only as "not evaluable" (h1 <= 0, when
+    # (h1, -h) is not a sheaf type).
+    (
+        "hecke_divisibility",
+        lambda ctx, n, s, r, d, h: check_gr_rational(h, SheafType(s.h1, -h)),
+        lambda ctx, n, s, r, d, h: f"hcf({s.h1},{h}) does not divide {h}",
+    ),
+    (
+        "dimension_identity",
+        lambda ctx, n, s, r, d, h: (ctx.genus - 1) * r**2
+        == (ctx.genus - 1) * s.r1**2 + h * (n.rkV - h),
+        lambda ctx, n, s, r, d, h: f"(g-1)r^2 = {(ctx.genus - 1) * r**2} "
+        "!= (g-1)r1^2 + h(rkV-h)",
+    ),
+    (
+        "rho_affine",
+        lambda ctx, n, s, r, d, h: n.rho_affine == h * (n.rkV - s.h1),
+        lambda ctx, n, s, r, d, h: f"stored {n.rho_affine}, expected {h}*({n.rkV}-{s.h1})",
+    ),
+    (
+        "hecke_affine",
+        lambda ctx, n, s, r, d, h: n.hecke_affine == h * (s.h1 - h),
+        lambda ctx, n, s, r, d, h: f"stored {n.hecke_affine}, expected {h}*({s.h1}-{h})",
+    ),
+    (
+        "child_types",
+        lambda ctx, n, s, r, d, h: n.mu1.t == SheafType(s.r1, s.d1)
+        and n.mu2.t == SheafType(s.h1, -h),
+        lambda ctx, n, s, r, d, h: f"children are {n.mu1.t}, {n.mu2.t}; "
+        f"expected ({s.r1},{s.d1}), ({s.h1},{-h})",
+    ),
+    (
+        "det_segments",
+        lambda ctx, n, s, r, d, h: n.det_maps
+        == (
+            DegreeAffineMap(-1, h * s.dF),
+            node_composite_det(n.mu1),
+            hecke_det_shift(h),
+            node_composite_det(n.mu2),
+        ),
+        lambda ctx, n, s, r, d, h: "stored determinant segments differ from the re-derived ones",
+    ),
+)
+
+
+def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:
+    """Record one result per check of the table, evaluated on args; return
+    whether all of them passed.
 
     A check that cannot even be evaluated (garbage values in a tampered trace)
     counts as failed, never as an exception escaping the verifier.
     """
-    try:
-        passed = bool(predicate())
-        note = "" if passed else detail()
-    except Exception as exc:  # noqa: BLE001 - any blowup means "failed"
-        passed = False
-        note = f"not evaluable: {exc}"
-    results.append(CheckResult(path=path, name=name, passed=passed, detail=note))
-    return passed
+    all_passed = True
+    for name, holds, explain in checks:
+        try:
+            if holds(*args):
+                results.append(CheckResult(path, name, True))
+                continue
+            note = explain(*args)
+        except Exception as exc:  # noqa: BLE001 - any blowup means "failed"
+            note = f"not evaluable: {exc}"
+        results.append(CheckResult(path, name, False, note))
+        all_passed = False
+    return all_passed
 
 
 def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationReport:
@@ -198,59 +386,20 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     report.
     """
     results: list[CheckResult] = []
-    g = trace.genus
-
-    domain_ok = _check(results, "trace", "genus_domain", lambda: g >= 2, lambda: f"genus {g} < 2")
-    domain_ok &= _check(
-        results,
-        "trace",
-        "input_domain",
-        lambda: trace.input.rank >= 1,
-        lambda: f"input {trace.input} has rank 0",
-    )
-    if domain_ok:
-        _check(
+    if _run(results, "trace", _TRACE_DOMAIN_CHECKS, (trace,)):
+        _run(results, "trace", _TRACE_HEAD_CHECKS, (trace,))
+        g = trace.genus
+        _verify_nodes(results, GenusContext(g), trace.root)
+        _run(
             results,
             "trace",
-            "input_hcf",
-            lambda: trace.h == hcf_of_type(trace.input),
-            lambda: f"stored h={trace.h}, "
-            f"recomputed {math.gcd(trace.input.rank, trace.input.degree)}",
-        )
-        _check(
-            results,
-            "trace",
-            "root_type",
-            lambda: trace.root.t == trace.input,
-            lambda: f"root type {trace.root.t} != input {trace.input}",
-        )
-        _verify_node(results, g, trace.root, "root")
-
-        node_total = node_affine_total(trace.root)
-        expected_total = (g - 1) * (trace.input.rank**2 - trace.h**2)
-        _check(
-            results,
-            "trace",
-            "total_affine_dim",
-            lambda: trace.total_affine_dim == node_total == expected_total,
-            lambda: f"stored {trace.total_affine_dim}, node sum {node_total}, "
-            f"(g-1)(r^2-h^2) = {expected_total}",
-        )
-        recomputed = node_composite_det(trace.root)
-        _check(
-            results,
-            "trace",
-            "composite_det",
-            lambda: trace.composite_det == recomputed,
-            lambda: f"stored {trace.composite_det}, recomputed {recomputed}",
-        )
-        _check(
-            results,
-            "trace",
-            "det_sends_to_zero",
-            lambda: recomputed.apply(trace.input.degree) == 0,
-            lambda: f"composite sends {trace.input.degree} to "
-            f"{recomputed.apply(trace.input.degree)}",
+            _TRACE_TAIL_CHECKS,
+            (
+                trace,
+                node_affine_total(trace.root),
+                (g - 1) * (trace.input.rank**2 - trace.h**2),
+                node_composite_det(trace.root),
+            ),
         )
 
     report = VerificationReport(checks=tuple(results))
@@ -260,137 +409,20 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     return report
 
 
-def _verify_node(results: list[CheckResult], g: int, node: StepNode, path: str) -> None:
-    t = node.t
-    if not _check(
-        results, path, "node_type_domain", lambda: t.rank >= 1, lambda: f"type {t} has rank 0"
-    ):
-        return
-    r, d = t.rank, t.degree
-    h = math.gcd(r, d)
-
-    if isinstance(node, BaseStep):
-        _check(results, path, "base_rank", lambda: r == h, lambda: f"rank {r} != hcf {h}")
-        _check(
-            results,
-            path,
-            "base_twist",
-            lambda: d % r == 0 and node.twist_degree == -(d // r),
-            lambda: f"twist {node.twist_degree} does not send degree {d} to 0",
-        )
-        return
-
-    sol = node.sol
-    _check(
-        results,
-        path,
-        "euler_equation",
-        lambda: (1 - g) * sol.rF * r + sol.rF * d - r * sol.dF == h,
-        lambda: f"(1-g)*{sol.rF}*{r} + {sol.rF}*{d} - {r}*{sol.dF} != {h}",
-    )
-    _check(
-        results,
-        path,
-        "rank_window",
-        lambda: r < h * sol.rF < 2 * r,
-        lambda: f"h*rF = {h * sol.rF} outside ({r}, {2 * r})",
-    )
-    _check(
-        results,
-        path,
-        "reduced_type",
-        lambda: sol.r1 == h * sol.rF - r and sol.d1 == h * sol.dF - d,
-        lambda: f"stored (r1,d1)=({sol.r1},{sol.d1}), "
-        f"expected ({h * sol.rF - r},{h * sol.dF - d})",
-    )
-    _check(
-        results,
-        path,
-        "solution_hcf",
-        lambda: sol.h == h and sol.h1 == math.gcd(sol.r1, sol.d1) and sol.h1 % h == 0,
-        lambda: f"stored h={sol.h}, h1={sol.h1}; "
-        f"recomputed h={h}, h1={math.gcd(sol.r1, sol.d1)}",
-    )
-    _check(
-        results,
-        path,
-        "measure_decrease",
-        lambda: sol.r1 * h < r * sol.h1,
-        lambda: f"r1/h1 = {sol.r1}/{sol.h1} not < r/h = {r}/{h}",
-    )
-    _check(
-        results,
-        path,
-        "hom_bundle_rank",
-        lambda: node.rkV
-        == euler_form(GenusContext(g), SheafType(sol.r1, sol.d1), SheafType(sol.rF, sol.dF)),
-        lambda: f"stored rkV={node.rkV} is not chi((r1,d1),(rF,dF))",
-    )
-    # The graph map goes from Gr_h of V = Hom(universal fibre over (r1,d1), F)
-    # to Gr_h of the dual universal fibre W over (h1,0).  Both have weight -1
-    # (0 - 1 and -(1)), whatever the types, so of the criterion "equal weights
-    # and j <= rk W <= rk V" only the rank chain is left to check.
-    _check(
-        results,
-        path,
-        "graph_map_precondition",
-        lambda: h <= sol.h1 <= node.rkV,
-        lambda: f"j={h}, rkW={sol.h1}, rkV={node.rkV} with weights -1/-1 fails j <= rkW <= rkV",
-    )
-    # The paper's divisibility condition for the Hecke Grassmannian over
-    # (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
-    # restates the paper and can fail only as "not evaluable" (h1 <= 0, when
-    # (h1, -h) is not a sheaf type).
-    _check(
-        results,
-        path,
-        "hecke_divisibility",
-        lambda: check_gr_rational(h, SheafType(sol.h1, -h)),
-        lambda: f"hcf({sol.h1},{h}) does not divide {h}",
-    )
-    _check(
-        results,
-        path,
-        "dimension_identity",
-        lambda: (g - 1) * r**2 == (g - 1) * sol.r1**2 + h * (node.rkV - h),
-        lambda: f"(g-1)r^2 = {(g - 1) * r**2} != (g-1)r1^2 + h(rkV-h)",
-    )
-    _check(
-        results,
-        path,
-        "rho_affine",
-        lambda: node.rho_affine == h * (node.rkV - sol.h1),
-        lambda: f"stored {node.rho_affine}, expected {h}*({node.rkV}-{sol.h1})",
-    )
-    _check(
-        results,
-        path,
-        "hecke_affine",
-        lambda: node.hecke_affine == h * (sol.h1 - h),
-        lambda: f"stored {node.hecke_affine}, expected {h}*({sol.h1}-{h})",
-    )
-    _check(
-        results,
-        path,
-        "child_types",
-        lambda: node.mu1.t == SheafType(sol.r1, sol.d1)
-        and node.mu2.t == SheafType(sol.h1, -h),
-        lambda: f"children are {node.mu1.t}, {node.mu2.t}; "
-        f"expected ({sol.r1},{sol.d1}), ({sol.h1},{-h})",
-    )
-    _check(
-        results,
-        path,
-        "det_segments",
-        lambda: node.det_maps
-        == (
-            DegreeAffineMap(-1, h * sol.dF),
-            node_composite_det(node.mu1),
-            hecke_det_shift(h),
-            node_composite_det(node.mu2),
-        ),
-        lambda: "stored determinant segments differ from the re-derived ones",
-    )
-
-    _verify_node(results, g, node.mu1, f"{path}.mu1")
-    _verify_node(results, g, node.mu2, f"{path}.mu2")
+def _verify_nodes(results: list[CheckResult], ctx: GenusContext, root: StepNode) -> None:
+    """Check every node in one pre-order pass: a node's own checks, then its
+    mu1 subtree, then its mu2 subtree."""
+    stack = [(root, "root")]
+    while stack:
+        node, path = stack.pop()
+        t = node.t
+        if not _run(results, path, _NODE_DOMAIN_CHECKS, (t,)):
+            continue
+        r, d = t.rank, t.degree
+        h = math.gcd(r, d)
+        if isinstance(node, BaseStep):
+            _run(results, path, _BASE_CHECKS, (node, r, d, h))
+            continue
+        _run(results, path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
+        stack.append((node.mu2, path + ".mu2"))
+        stack.append((node.mu1, path + ".mu1"))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -253,6 +254,12 @@ def loads(text: str) -> ReductionTrace:
     except RecursionError:
         # from json.loads or trace_from_dict, both one frame per nesting level
         raise ParseError("$", "document nested too deeply") from None
+    except ValueError:
+        # from json.loads (trace_from_dict raises only ParseError): an integer
+        # longer than Python's int-to-str limit
+        raise ParseError(
+            "$", f"integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def dump(trace: ReductionTrace, path: str) -> None:

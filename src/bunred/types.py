@@ -1,11 +1,14 @@
 """Exact integer domain types: sheaf types, genus context, basic arithmetic.
 
 All arithmetic in this package is on Python integers (arbitrary precision),
-so nothing overflows.  Two size ceilings remain: the recursive walks of
-`reduce` and `verify_trace` (depth about 1.4 per decimal digit of the rank)
-raise RecursionError at roughly 1,000 rank digits, and `serialize.dumps`
-and `serialize.loads` raise ValueError on an integer of more than 4,300
-digits (Python's int-to-str limit, `sys.get_int_max_str_digits`).
+so nothing overflows.  Two size ceilings remain.  `reduce` recurses once per
+tree level, and the tree has about 1.5 levels per decimal digit of the rank,
+so at the default recursion limit (1,000) most ranks of more than about 600
+digits are refused with a DomainError that names the limit (`verify_trace`
+walks the tree with an explicit stack and has no such ceiling).  Python's
+int-to-str limit (`sys.get_int_max_str_digits`, 4,300 digits by default)
+makes `serialize.dumps` raise ValueError on a longer integer, and
+`serialize.loads` reports one as a ParseError.
 """
 
 from __future__ import annotations

@@ -207,3 +207,33 @@ def test_verify_deeply_nested_document_is_an_error(tmp_path, text):
     assert proc.returncode == 1
     assert "error: $: document nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _run_module(*argv):
+    """`python -m bunred ARGV` in a subprocess, so an escaping exception shows
+    as a traceback on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "bunred", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_verify_integer_beyond_str_limit_is_an_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"version": ' + "9" * 5000 + "}")
+    proc = _run_module("verify", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: $: integer of more than ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_reduce_deeper_than_recursion_limit_is_domain_error():
+    # 1,200 digits; the tree is 1,840 levels deep
+    rank = 2**3985 + 1
+    proc = _run_module("reduce", "-g", "2", "-r", str(rank), "-d", "7")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the reduction tree is deeper than the recursion limit")
+    assert "600 digits" in proc.stderr
+    assert "Traceback" not in proc.stderr

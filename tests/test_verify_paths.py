@@ -7,11 +7,15 @@ import pytest
 from bunred import (
     BaseStep,
     CertificateInvalid,
+    CompositeStep,
     DegreeAffineMap,
     GenusContext,
     InvalidArgument,
     LemmaSolution,
+    ReductionTrace,
     SheafType,
+    node_affine_total,
+    node_depth,
     reduce,
     verify_trace,
 )
@@ -74,6 +78,40 @@ def test_garbage_values_never_crash_verifier():
     bad = replace(tr, root=replace(tr.root, sol=garbage_sol))
     report = verify_trace(bad, strict=False)
     assert not report.ok
+
+
+def test_deep_chain_fails_without_recursion_error():
+    # 5,000 composite nodes, each the mu1 child of the next: far deeper than
+    # the recursion limit, and wrong at every level
+    base = BaseStep(SheafType(1, 0), twist_degree=0)
+    node = base
+    for _ in range(5000):
+        node = CompositeStep(
+            t=SheafType(1, 0),
+            sol=LemmaSolution(rF=1, dF=0, r1=1, d1=0, h=1, h1=1),
+            rkV=1,
+            rho_affine=1,
+            hecke_affine=0,
+            mu1=node,
+            mu2=base,
+            det_maps=(),
+        )
+    trace = ReductionTrace(
+        genus=2,
+        input=SheafType(1, 0),
+        h=1,
+        root=node,
+        total_affine_dim=0,
+        composite_det=DegreeAffineMap(1, 0),
+    )
+    assert node_depth(node) == 5001
+    assert node_affine_total(node) == 5000
+    # every path is kept, so the report holds ~100 MB of path strings
+    report = verify_trace(trace, strict=False)
+    failed = [(c.path, c.name) for c in report.failures()]
+    assert failed[0] == ("root", "euler_equation")
+    assert ("root" + ".mu1" * 4999, "euler_equation") in failed
+    assert report.checks[-3].detail == "stored 0, node sum 5000, (g-1)(r^2-h^2) = 0"
 
 
 def test_all_checks_listed_with_pass_fail():
