@@ -311,6 +311,18 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # Writing an integer longer than Python's int-to-str limit (a result
+        # can be a few digits longer than the inputs); any other ValueError is
+        # a bug and keeps its traceback.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: a result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the int-to-str limit (sys.get_int_max_str_digits())",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

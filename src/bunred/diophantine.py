@@ -9,9 +9,9 @@ integer pair (r_F, d_F) satisfying
 The reduced type is then r1 = h*r_F - r, d1 = h*d_F - d with h1 = hcf(r1, d1)
 a multiple of h and r1/h1 < r/h strictly, which bounds the recursion depth.
 
-Two independent routes are provided: solve_lemma (extended Euclid plus window
-placement) and solve_lemma_bruteforce (exhaustive window scan).  They must
-always agree; the brute-force route is the test oracle for the fast one.
+Two independent routes are provided: solve_lemma (a modular inverse plus
+window placement) and solve_lemma_bruteforce (exhaustive window scan).  They
+must always agree; the brute-force route is the test oracle for the fast one.
 """
 
 from __future__ import annotations
@@ -41,21 +41,6 @@ class LemmaSolution:
     h1: int
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _check_preconditions(ctx: GenusContext, t: SheafType) -> int:
     require_genus_ge_2(ctx)
     if t.rank < 1:
@@ -83,11 +68,13 @@ def _finish(ctx: GenusContext, t: SheafType, h: int, rF: int, dF: int) -> LemmaS
 
 
 def solve_lemma(ctx: GenusContext, t: SheafType) -> LemmaSolution:
-    """Solve the window equation by the extended Euclidean algorithm.
+    """Solve the window equation by a modular inverse.
 
     h is also hcf(r, (1-g)r + d), so r_F * ((1-g)r + d) = h (mod r) is solvable
-    and its solutions form one residue class modulo r/h; exactly one
-    representative lies in the open window (r/h, 2r/h).
+    and its solutions form one residue class modulo m = r/h, that of the
+    inverse of ((1-g)r + d)/h modulo m; exactly one representative lies in the
+    open window (m, 2m).  gcd and the inverse are computed by the interpreter
+    (math.gcd, pow(x, -1, m)), not by a Python loop.
 
     Raises BaseCaseReached when rank == hcf(rank, degree); the caller handles
     that case by twisting.
@@ -96,10 +83,10 @@ def solve_lemma(ctx: GenusContext, t: SheafType) -> LemmaSolution:
     g, r, d = ctx.genus, t.rank, t.degree
     m = r // h
     a = ((1 - g) * r + d) % r
-    g0, u, _ = _egcd(a, r)
-    if g0 != h:
-        raise InternalInvariantViolation(f"hcf({a}, {r}) = {g0}, expected {h}")
-    c = u % m
+    h0 = math.gcd(a, r)
+    if h0 != h:
+        raise InternalInvariantViolation(f"hcf({a}, {r}) = {h0}, expected {h}")
+    c = pow(a // h, -1, m)
     if c == 0:
         raise InternalInvariantViolation(f"no window representative exists for {t}")
     rF = m + c

@@ -26,8 +26,13 @@ reason.  The checks are module-level tables of plain functions; a check's
 failure detail is formatted only when the check fails, so a passing
 certificate costs no string formatting.
 
-reduce() itself still recurses, one frame per tree level, and refuses a tree
-deeper than the recursion limit allows with a DomainError.
+reduce() builds the tree with one explicit-stack loop, not by recursion, and
+solves and builds each distinct (rank, degree) once: every repeat of a type
+in the tree is the same frozen node.  The table of built types lives for one
+reduce() call only.  It refuses a tree deeper than max_tree_depth() with a
+DomainError, a bound set below the recursion limit so that the recursive
+writers (serialize.trace_to_dict and _node_from_dict, the CLI's text walk)
+can still handle every tree it returns.
 """
 
 from __future__ import annotations
@@ -117,25 +122,30 @@ def node_depth(node: StepNode) -> int:
     return depth
 
 
+# Frames left below the recursion limit for the callers of the recursive
+# writers of a tree (serialize.trace_to_dict, serialize._node_from_dict and the
+# CLI's text walk), which take one frame per level plus a few at the leaves.
+WRITER_HEADROOM = 60
+
+
+def max_tree_depth() -> int:
+    """Deepest tree reduce() builds: the recursion limit less WRITER_HEADROOM,
+    so that every tree it returns can still be written and read back."""
+    return sys.getrecursionlimit() - WRITER_HEADROOM
+
+
 def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
     """Build the complete reduction certificate for the type t.
 
     Recursion on r/h: a base step twists degree to 0; otherwise one window
     solution produces the kernel type (r1, d1) and the Hecke target (h1, -h),
-    both strictly smaller in the r/h measure.
+    both strictly smaller in the r/h measure.  A tree deeper than
+    max_tree_depth() is refused with a DomainError.
     """
     require_genus_ge_2(ctx)
     if t.rank < 1:
         raise InvalidType(f"reduction needs rank >= 1, got {t}")
-    try:
-        root = _reduce_node(ctx, t)
-    except RecursionError:
-        raise DomainError(
-            "the reduction tree is deeper than the recursion limit "
-            f"({sys.getrecursionlimit()}) allows: reduce takes one stack frame per "
-            "level, and a typical tree has about 1.5 levels per decimal digit of "
-            "the rank, so most ranks of more than about 600 digits are out of range"
-        ) from None
+    root = _build_tree(ctx, t, max_tree_depth())
     return ReductionTrace(
         genus=ctx.genus,
         input=t,
@@ -146,31 +156,83 @@ def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
     )
 
 
-def _reduce_node(ctx: GenusContext, t: SheafType) -> StepNode:
-    h = hcf_of_type(t)
-    if t.rank == h:
-        return BaseStep(t=t, twist_degree=-(t.degree // t.rank))
-    sol = solve_lemma(ctx, t)
-    t1 = SheafType(sol.r1, sol.d1)
-    t_f = SheafType(sol.rF, sol.dF)
-    rk_v = euler_form(ctx, t1, t_f)
-    mu1 = _reduce_node(ctx, t1)
-    mu2 = _reduce_node(ctx, SheafType(sol.h1, -h))
-    det_maps = (
-        DegreeAffineMap(-1, h * sol.dF),
-        node_composite_det(mu1),
-        hecke_det_shift(h),
-        node_composite_det(mu2),
-    )
-    return CompositeStep(
-        t=t,
-        sol=sol,
-        rkV=rk_v,
-        rho_affine=h * (rk_v - sol.h1),
-        hecke_affine=h * (sol.h1 - h),
-        mu1=mu1,
-        mu2=mu2,
-        det_maps=det_maps,
+def _build_tree(ctx: GenusContext, t: SheafType, max_depth: int) -> StepNode:
+    """The reduction tree of t, each distinct type solved and built once.
+
+    One explicit-stack pass: a composite type is entered in the order the
+    recursive definition visits it (the node, then its mu1 subtree, then its
+    mu2 subtree), so solve_lemma is called in that order, once per distinct
+    type, and its node is made after both of its children.  Only composite
+    children are entered; a base child (r1 = h1, or h1 = h) is made when its
+    parent is.  built maps (rank, degree) to its node, so every later
+    occurrence of a type is the same frozen node; it lives for this call
+    only.  Depth is checked on the way down, and for a repeated composite
+    subtree when it is reused.
+    """
+    r, d = t.rank, t.degree
+    if d % r == 0:
+        return BaseStep(t=t, twist_degree=-(d // r))
+    built: dict[tuple[int, int], StepNode] = {}
+    # (type, depth, None) enters a composite type at that depth;
+    # (type, depth, sol) makes its node once both children are built.
+    todo: list = [(t, 1, None)]
+    while todo:
+        t, depth, sol = todo.pop()
+        if sol is None:
+            node = built.get((t.rank, t.degree))
+            if node is not None:
+                if depth + node_depth(node) - 1 > max_depth:
+                    raise _too_deep(max_depth)
+                continue
+            if depth == max_depth:
+                raise _too_deep(max_depth)
+            sol = solve_lemma(ctx, t)
+            todo.append((t, depth, sol))
+            if sol.h1 != sol.h:
+                todo.append((SheafType(sol.h1, -sol.h), depth + 1, None))
+            if sol.r1 != sol.h1:
+                todo.append((SheafType(sol.r1, sol.d1), depth + 1, None))
+            continue
+        h = sol.h
+        mu1 = _built_or_base(built, sol.r1, sol.d1)
+        mu2 = _built_or_base(built, sol.h1, -h)
+        # chi((r1, d1), (rF, dF)), as euler_form computes it
+        rk_v = (1 - ctx.genus) * sol.r1 * sol.rF + sol.r1 * sol.dF - sol.rF * sol.d1
+        built[t.rank, t.degree] = CompositeStep(
+            t=t,
+            sol=sol,
+            rkV=rk_v,
+            rho_affine=h * (rk_v - sol.h1),
+            hecke_affine=h * (sol.h1 - h),
+            mu1=mu1,
+            mu2=mu2,
+            det_maps=(
+                DegreeAffineMap(-1, h * sol.dF),
+                node_composite_det(mu1),
+                hecke_det_shift(h),
+                node_composite_det(mu2),
+            ),
+        )
+    return built[r, d]
+
+
+def _built_or_base(built: dict[tuple[int, int], StepNode], r: int, d: int) -> StepNode:
+    """The node of a child of type (r, d): composite children are built
+    before their parent, so a type not in built is a base step."""
+    node = built.get((r, d))
+    if node is None:
+        node = built[r, d] = BaseStep(t=SheafType(r, d), twist_degree=-(d // r))
+    return node
+
+
+def _too_deep(max_depth: int) -> DomainError:
+    return DomainError(
+        "the reduction tree is deeper than the recursion limit "
+        f"({sys.getrecursionlimit()}) allows: reduce builds at most {max_depth} "
+        "levels, so that the recursive writers of a tree still have "
+        f"{WRITER_HEADROOM} frames to spare, and a typical tree has about 1.5 "
+        "levels per decimal digit of the rank, so most ranks of more than about "
+        "600 digits are out of range"
     )
 
 

@@ -237,3 +237,23 @@ def test_reduce_deeper_than_recursion_limit_is_domain_error():
     assert proc.stderr.startswith("error: the reduction tree is deeper than the recursion limit")
     assert "600 digits" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "-r", "2", "-d", "1"],
+        ["reduce", "-r", "2", "-d", "1", "--format", "json"],
+        ["solve-lemma", "-r", "2", "-d", "1"],
+        ["chi", "--t1", "2,1", "--t2", "3,1"],
+    ],
+    ids=["reduce_text", "reduce_json", "solve_lemma", "chi"],
+)
+def test_result_beyond_str_limit_is_an_error(argv):
+    # the genus itself is within the limit; rkV, dF and chi are a digit longer
+    genus = "9" * sys.get_int_max_str_digits()
+    proc = _run_module(argv[0], "-g", genus, *argv[1:])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: a result has an integer of more than ")
+    assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -75,3 +76,36 @@ def test_measure_strictly_decreases_on_grid():
                 sol = solve_lemma(ctx, SheafType(r, d))
                 assert sol.r1 * sol.h < r * sol.h1  # r1/h1 < r/h
                 assert sol.h1 % sol.h == 0 and 0 < sol.r1 < r
+
+
+@pytest.mark.parametrize("digits", [300, 1000])
+def test_big_solutions_satisfy_equation_and_window(digits):
+    rng = random.Random(f"solve-lemma/{digits}")
+    for g in (2, 3, 10**digits + 1):
+        rank = rng.randrange(10 ** (digits - 1), 10**digits)
+        degree = rng.randrange(-rank, rank)
+        h = math.gcd(rank, degree)
+        sol = solve_lemma(GenusContext(g), SheafType(rank, degree))
+        assert (1 - g) * sol.rF * rank + sol.rF * degree - rank * sol.dF == h
+        assert rank < h * sol.rF < 2 * rank
+
+
+def test_solver_equals_oracle_on_big_types():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # r = h*m and d = h*k with gcd(m, k) = 1, so hcf(r, d) = h and the window
+    # the oracle scans has m - 1 entries
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        g=st.integers(2, 10**6),
+        h=st.integers(10**49, 10**600 - 1),
+        m=st.integers(2, 10**4),
+        k=st.integers(-(10**600), 10**600),
+    )
+    def check(g, h, m, k):
+        hypothesis.assume(math.gcd(m, k) == 1)
+        ctx, t = GenusContext(g), SheafType(h * m, h * k)
+        assert solve_lemma(ctx, t) == solve_lemma_bruteforce(ctx, t)
+
+    check()

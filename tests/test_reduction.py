@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -14,11 +16,16 @@ from bunred import (
     LemmaSolution,
     SheafType,
     compose_det,
+    dumps,
+    loads,
     node_affine_total,
     node_depth,
     reduce,
+    solve_lemma,
     verify_trace,
 )
+from bunred import reduction
+from bunred.cli import format_trace_text
 
 G2 = GenusContext(2)
 
@@ -170,3 +177,77 @@ def test_second_child_reduces_hecke_target():
     names = {(c.path, c.name) for c in rep.checks if c.name == "graph_map_precondition"}
     assert all(c.passed for c in rep.checks if c.name == "graph_map_precondition")
     assert len(names) >= 1
+
+
+def _occurrences(root):
+    """Every node of the tree, one entry per occurrence of a shared node."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, CompositeStep):
+            stack += [node.mu1, node.mu2]
+    return nodes
+
+
+@pytest.mark.parametrize(
+    "g, rank, degree",
+    [(3, 12, 5), (4, 9, 2), (4, 10**29 + 7, 10**28 + 3), (2, 3**200, -(2**300) - 1)],
+)
+def test_one_solve_and_one_node_per_distinct_type(monkeypatch, g, rank, degree):
+    solved = []
+
+    def counting_solve(ctx, t):
+        solved.append(t)
+        return solve_lemma(ctx, t)
+
+    monkeypatch.setattr(reduction, "solve_lemma", counting_solve)
+    root = reduce(GenusContext(g), SheafType(rank, degree)).root
+    nodes = _occurrences(root)
+    by_type = {}
+    for node in nodes:
+        by_type.setdefault(node.t, set()).add(id(node))
+    composite_types = {n.t for n in nodes if isinstance(n, CompositeStep)}
+    assert len(solved) == len(set(solved)) == len(composite_types)
+    assert len(by_type) < len(nodes)  # some type repeats
+    assert all(len(ids) == 1 for ids in by_type.values())
+
+
+def test_reduce_calls_share_nothing():
+    a = reduce(GenusContext(3), SheafType(12, 5))
+    b = reduce(GenusContext(3), SheafType(12, 5))
+    assert a == b
+    ids_a = {id(n) for n in _occurrences(a.root)}
+    assert not ids_a & {id(n) for n in _occurrences(b.root)}
+    assert a.root is not b.root
+
+
+def test_depth_bound_admits_a_tree_of_equal_depth(monkeypatch):
+    t = SheafType(10**29 + 7, 10**28 + 3)
+    depth = node_depth(reduce(G2, t).root)
+    headroom = sys.getrecursionlimit() - depth
+    monkeypatch.setattr(reduction, "WRITER_HEADROOM", headroom)
+    assert reduction.max_tree_depth() == depth
+    assert node_depth(reduce(G2, t).root) == depth
+    monkeypatch.setattr(reduction, "WRITER_HEADROOM", headroom + 1)
+    with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
+        reduce(G2, t)
+
+
+# Seeded ranks of ~650 digits whose trees are as deep as the bound allows at
+# the default recursion limit (1,000 - 60 = 940 levels), or nearly:
+# (seed, digits, depth).  The writers recurse from pytest's stack, some 30
+# frames deep.
+DEEP_SEEDS = [("deep/80", 635, 940), ("deep/355", 650, 938)]
+
+
+@pytest.mark.parametrize("seed, digits, depth", DEEP_SEEDS, ids=[s for s, _, _ in DEEP_SEEDS])
+def test_deepest_trees_are_written_and_read_back(seed, digits, depth):
+    rng = random.Random(seed)
+    assert rng.randrange(625, 660) == digits
+    rank = rng.randrange(10 ** (digits - 1), 10**digits)
+    trace = reduce(G2, SheafType(rank, rng.randrange(-rank, rank)))
+    assert node_depth(trace.root) == depth <= reduction.max_tree_depth()
+    text = format_trace_text(trace, None)
+    assert text.count("\n") == len(_occurrences(trace.root)) + 3
+    assert verify_trace(loads(dumps(trace))).ok
