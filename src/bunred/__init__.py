@@ -1,42 +1,34 @@
 """Exact-arithmetic reduction certificates for moduli stacks of vector
-bundles on curves: Euler-form arithmetic, weight bookkeeping, the
-window-equation solver, the recursive reduction tree, and an independent
-certificate verifier."""
+bundles on curves: Euler-form arithmetic, the window-equation solver, the
+reduction tree, an independent certificate verifier, and the minimal
+weight-1 rank, quasiparabolic dimensions and splitting scan that the
+reduction relies on."""
 
 from .affine import DegreeAffineMap, compose_det
 from .diophantine import LemmaSolution, solve_lemma, solve_lemma_bruteforce
 from .errors import (
     BaseCaseReached,
-    BaseMismatch,
     BunredError,
     CertificateInvalid,
     DomainError,
     HypothesisNotMet,
     InternalInvariantViolation,
     InvalidArgument,
-    InvalidSplitting,
     InvalidType,
     NotCovered,
     ParseError,
     TheoremContradicted,
 )
-from .euler import bun_stack_dim, euler_form, ext_relative_dim, ext_stack_dim
+from .euler import bun_stack_dim, euler_form
 from .generic_hom import (
     GenericHomReport,
     MorphismKind,
     SplittingScanReport,
-    excess_identity,
     generic_hom,
     generic_morphism_kind,
     no_bad_splitting_scan,
 )
-from .grassmann import (
-    HeckeRoute,
-    check_gr_rational,
-    check_map_precondition,
-    hecke_det_shift,
-    parabolic_dim,
-)
+from .grassmann import HeckeRoute, hecke_det_shift, parabolic_dim
 from .reduction import (
     BaseStep,
     CheckResult,
@@ -51,21 +43,7 @@ from .reduction import (
     verify_trace,
 )
 from .serialize import SCHEMA_VERSION, dump, dumps, load, loads, trace_from_dict, trace_to_dict
-from .types import (
-    GenusContext,
-    SheafType,
-    ZERO_TYPE,
-    add_types,
-    hcf_of_type,
-    scale_type,
-)
-from .weights import (
-    WeightedBundleDescriptor,
-    fixed_bundle,
-    minimal_rank_divisor,
-    universal_fiber,
-    weight_of_dual,
-    weight_of_hom,
-)
+from .types import GenusContext, SheafType, add_types, hcf_of_type
+from .weights import minimal_rank_divisor
 
 __version__ = "0.1.0"

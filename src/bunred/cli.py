@@ -25,7 +25,9 @@ from .reduction import (
     reduce,
     verify_trace,
 )
-from .serialize import dumps, encode_document, load, trace_to_dict
+# `dumps` is not called here; it stays importable as `cli.dumps`, the name
+# under which bench/tracer.py wraps the serialize layer.
+from .serialize import dump, dumps, encode_document, load, trace_to_dict
 from .types import GenusContext, SheafType
 
 
@@ -116,6 +118,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # empty ranges are allowed and sweep vacuously (exit 0, empty table)
     if any(g < 2 for g in args.genus):
         raise BunredError("sweep genus values must be >= 2")
+    if args.traces_dir is not None:
+        os.makedirs(args.traces_dir, exist_ok=True)
     rows = []
     all_valid = True
     for g in args.genus:
@@ -139,10 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     }
                 )
                 if args.traces_dir is not None:
-                    os.makedirs(args.traces_dir, exist_ok=True)
-                    name = f"trace_g{g}_r{r}_d{d}.json"
-                    with open(os.path.join(args.traces_dir, name), "w", encoding="utf-8") as f:
-                        f.write(dumps(trace))
+                    dump(trace, os.path.join(args.traces_dir, f"trace_g{g}_r{r}_d{d}.json"))
     if args.format == "json":
         out = json.dumps({"rows": rows, "cases": len(rows), "all_valid": all_valid}, indent=2)
         _emit(out + "\n", args.out)

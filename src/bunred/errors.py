@@ -15,10 +15,6 @@ class InvalidArgument(BunredError):
     """An argument is outside the operation's stated domain."""
 
 
-class BaseMismatch(BunredError):
-    """Two bundle descriptors live over different moduli stacks."""
-
-
 class DomainError(BunredError):
     """The genus is outside the range where the operation is defined."""
 
@@ -29,10 +25,6 @@ class HypothesisNotMet(BunredError):
 
 class NotCovered(BunredError):
     """No prediction exists for these inputs (rank-zero types)."""
-
-
-class InvalidSplitting(BunredError):
-    """The four types of a kernel/cokernel splitting are inconsistent."""
 
 
 class TheoremContradicted(BunredError):

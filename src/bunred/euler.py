@@ -23,18 +23,3 @@ def bun_stack_dim(ctx: GenusContext, t: SheafType) -> int:
     """
     return -euler_form(ctx, t, t)
 
-
-def ext_relative_dim(ctx: GenusContext, t1: SheafType, t2: SheafType) -> int:
-    """Relative dimension -chi(t2, t1) of the stack of extensions of t2 by t1
-    over the product of the two coherent-sheaf stacks."""
-    return -euler_form(ctx, t2, t1)
-
-
-def ext_stack_dim(ctx: GenusContext, t1: SheafType, t2: SheafType) -> int:
-    """Total dimension -chi(t2,t2) - chi(t2,t1) - chi(t1,t1) of the stack of
-    short exact sequences with sub of type t1 and quotient of type t2."""
-    return (
-        -euler_form(ctx, t2, t2)
-        - euler_form(ctx, t2, t1)
-        - euler_form(ctx, t1, t1)
-    )

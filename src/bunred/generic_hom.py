@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import (
     HypothesisNotMet,
     InvalidArgument,
-    InvalidSplitting,
     InvalidType,
     NotCovered,
     TheoremContradicted,
@@ -78,26 +77,6 @@ def generic_morphism_kind(ctx: GenusContext, t1: SheafType, t2: SheafType) -> Mo
     if t1.rank == t2.rank:
         return MorphismKind.INJECTIVE
     return MorphismKind.INJECTIVE_TORSIONFREE_COKERNEL
-
-
-def excess_identity(
-    ctx: GenusContext,
-    t1: SheafType,
-    t2: SheafType,
-    t_k: SheafType,
-    t_q: SheafType,
-    m: int,
-) -> bool:
-    """True iff m - chi(t1, t2) = -chi(tK, tQ) for the splitting
-    t1 = tK + t, t2 = t + tQ (the common middle type t is checked)."""
-    if (t1.rank - t_k.rank, t1.degree - t_k.degree) != (
-        t2.rank - t_q.rank,
-        t2.degree - t_q.degree,
-    ):
-        raise InvalidSplitting(
-            f"{t1} - {t_k} and {t2} - {t_q} differ; no common middle type"
-        )
-    return m - euler_form(ctx, t1, t2) == -euler_form(ctx, t_k, t_q)
 
 
 def no_bad_splitting_scan(

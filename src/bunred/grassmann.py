@@ -1,10 +1,9 @@
 """Dimension and determinant bookkeeping for Grassmannian bundles over stacks.
 
 Covers the two Grassmannian-bundle descriptions of the quasiparabolic stack
-(the Hecke correspondence), the determinant-degree shift it induces, and the
-numerical preconditions of the two birational-linearity criteria used by the
-reduction: the graph-map criterion (same weight, j <= rk W <= rk V) and the
-divisibility criterion (hcf(r, d) divides j).
+(the Hecke correspondence) and the determinant-degree shift it induces.  The
+verifier in `reduction` checks the numerical preconditions of the two
+birational-linearity criteria itself.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import enum
 from .affine import DegreeAffineMap
 from .errors import InvalidArgument
 from .euler import bun_stack_dim
-from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
+from .types import GenusContext, SheafType, require_genus_ge_2
 
 
 class HeckeRoute(enum.Enum):
@@ -47,14 +46,3 @@ def hecke_det_shift(m: int) -> DegreeAffineMap:
         raise InvalidArgument(f"multiplicity must be >= 1, got {m}")
     return DegreeAffineMap(1, -m)
 
-
-def check_map_precondition(j: int, rk_w: int, rk_v: int, w_v: int, w_w: int) -> bool:
-    """Precondition for the birationally linear graph map between Grassmannian
-    bundles Gr_j(V) -> Gr_j(W): equal weights and j <= rk(W) <= rk(V)."""
-    return w_v == w_w and j <= rk_w <= rk_v
-
-
-def check_gr_rational(j: int, t: SheafType) -> bool:
-    """True iff hcf(rank, degree) divides j, making a weight-(+-1) Grassmannian
-    bundle Gr_j over the type-t stack birationally linear."""
-    return j % hcf_of_type(t) == 0

@@ -1,4 +1,4 @@
-"""Recursive birational-reduction certificates and their independent verifier.
+"""Birational-reduction certificates and their independent verifier.
 
 reduce() builds the full reduction tree taking the moduli stack of rank-r,
 degree-d bundles to the stack of rank-h, degree-0 bundles, h = hcf(r, d).
@@ -46,7 +46,7 @@ from .affine import DegreeAffineMap, compose_det
 from .diophantine import LemmaSolution, solve_lemma
 from .errors import CertificateInvalid, DomainError, InvalidType
 from .euler import euler_form
-from .grassmann import check_gr_rational, hecke_det_shift
+from .grassmann import hecke_det_shift
 from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
 
 
@@ -377,7 +377,7 @@ _COMPOSITE_CHECKS = (
     # (h1, -h) is not a sheaf type).
     (
         "hecke_divisibility",
-        lambda ctx, n, s, r, d, h: check_gr_rational(h, SheafType(s.h1, -h)),
+        lambda ctx, n, s, r, d, h: h % hcf_of_type(SheafType(s.h1, -h)) == 0,
         lambda ctx, n, s, r, d, h: f"hcf({s.h1},{h}) does not divide {h}",
     ),
     (

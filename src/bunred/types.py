@@ -38,14 +38,8 @@ class SheafType:
                 f"rank-zero types are torsion and need degree >= 0, got degree {self.degree}"
             )
 
-    def __add__(self, other: SheafType) -> SheafType:
-        return add_types(self, other)
-
     def __str__(self) -> str:
         return f"({self.rank},{self.degree})"
-
-
-ZERO_TYPE = SheafType(0, 0)
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,6 @@ def require_genus_ge_2(ctx: GenusContext) -> None:
 def add_types(a: SheafType, b: SheafType) -> SheafType:
     """Componentwise sum of two sheaf types."""
     return SheafType(a.rank + b.rank, a.degree + b.degree)
-
-
-def scale_type(n: int, t: SheafType) -> SheafType:
-    """n-fold direct sum (n >= 0) of a sheaf type."""
-    if n < 0:
-        raise InvalidArgument(f"scale factor must be >= 0, got {n}")
-    return SheafType(n * t.rank, n * t.degree)
 
 
 def hcf_of_type(t: SheafType) -> int:

@@ -78,6 +78,10 @@ def test_sweep_emits_traces(tmp_path, capsys):
         "trace_g2_r1_d0.json", "trace_g2_r1_d1.json",
         "trace_g2_r2_d0.json", "trace_g2_r2_d1.json",
     ]
+    for r in (1, 2):
+        for d in (0, 1):
+            text = (target / f"trace_g2_r{r}_d{d}.json").read_text(encoding="utf-8")
+            assert text == dumps(reduce(GenusContext(2), SheafType(r, d)))
 
 
 def test_verify_valid_and_tampered_file(tmp_path, capsys):

@@ -4,12 +4,9 @@ import random
 from bunred import (
     GenusContext,
     SheafType,
-    ZERO_TYPE,
     add_types,
     bun_stack_dim,
     euler_form,
-    ext_relative_dim,
-    ext_stack_dim,
 )
 
 G2 = GenusContext(2)
@@ -19,7 +16,7 @@ def test_euler_form_examples():
     assert euler_form(G2, SheafType(3, -2), SheafType(2, 1)) == 1
     assert euler_form(G2, SheafType(2, 1), SheafType(2, 1)) == -4
     for g in range(0, 5):
-        assert euler_form(GenusContext(g), ZERO_TYPE, SheafType(4, -7)) == 0
+        assert euler_form(GenusContext(g), SheafType(0, 0), SheafType(4, -7)) == 0
 
 
 def test_bun_stack_dim_examples():
@@ -27,20 +24,6 @@ def test_bun_stack_dim_examples():
     assert bun_stack_dim(GenusContext(3), SheafType(3, 1)) == 18
     for d in range(0, 6):
         assert bun_stack_dim(G2, SheafType(0, d)) == 0
-
-
-def test_ext_relative_dim_examples():
-    assert ext_relative_dim(G2, SheafType(1, 0), SheafType(1, 0)) == 1
-    assert ext_relative_dim(G2, SheafType(1, -3), SheafType(3, -2)) == 10
-    assert ext_relative_dim(GenusContext(4), SheafType(3, 5), ZERO_TYPE) == 0
-
-
-def test_ext_stack_dim_examples():
-    assert ext_stack_dim(G2, SheafType(1, 0), SheafType(1, 0)) == 3
-    assert ext_stack_dim(G2, ZERO_TYPE, ZERO_TYPE) == 0
-    # each term evaluated from the defining sum: 1 - chi(t2,t1) + 1 with
-    # chi((1,-1),(1,-3)) = -1 - 3 + 1 = -3
-    assert ext_stack_dim(G2, SheafType(1, -3), SheafType(1, -1)) == 5
 
 
 def _random_type(rng):
@@ -65,16 +48,6 @@ def test_degree_independence_of_stack_dim():
             dims = {bun_stack_dim(ctx, SheafType(r, d)) for d in range(-6, 7) if r or d >= 0}
             assert len(dims) == 1
             assert dims.pop() == (g - 1) * r * r
-
-
-def test_ext_stack_dim_consistency():
-    rng = random.Random(12)
-    for _ in range(300):
-        g = GenusContext(rng.randint(0, 5))
-        t1, t2 = _random_type(rng), _random_type(rng)
-        assert ext_stack_dim(g, t1, t2) == (
-            bun_stack_dim(g, t1) + bun_stack_dim(g, t2) + ext_relative_dim(g, t1, t2)
-        )
 
 
 def test_key_reduction_identity():

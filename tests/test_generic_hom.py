@@ -8,16 +8,13 @@ from bunred import (
     GenericHomReport,
     GenusContext,
     HypothesisNotMet,
-    InvalidSplitting,
     MorphismKind,
     NotCovered,
     SheafType,
     euler_form,
-    excess_identity,
     generic_hom,
     generic_morphism_kind,
     no_bad_splitting_scan,
-    scale_type,
     solve_lemma,
 )
 
@@ -75,31 +72,11 @@ def test_reduction_types_are_covered_and_surjective():
                 rep = generic_hom(ctx, t_f, t)
                 assert rep.covered and rep.hom_dim == sol.h
                 assert (
-                    generic_morphism_kind(ctx, scale_type(sol.h, t_f), t)
+                    generic_morphism_kind(ctx, SheafType(sol.h * sol.rF, sol.h * sol.dF), t)
                     is MorphismKind.SURJECTIVE
                 )
                 if sol.h == 1:
                     assert generic_morphism_kind(ctx, t_f, t) is MorphismKind.SURJECTIVE
-
-
-def test_excess_identity():
-    t1, t2 = SheafType(2, -1), SheafType(2, 1)
-    t_k, t_q = SheafType(1, -1), SheafType(1, 1)
-    m = euler_form(G2, t1, t2) - euler_form(G2, t_k, t_q)
-    assert excess_identity(G2, t1, t2, t_k, t_q, m)
-    assert not excess_identity(G2, t1, t2, t_k, t_q, m + 1)
-
-
-def test_excess_identity_zero_splitting():
-    # the trivial splitting needs t1 == t2; both sides vanish at m = chi
-    t = SheafType(3, -2)
-    m = euler_form(G2, t, t)
-    assert excess_identity(G2, t, t, SheafType(0, 0), SheafType(0, 0), m)
-
-
-def test_excess_identity_rejects_inconsistent_splitting():
-    with pytest.raises(InvalidSplitting):
-        excess_identity(G2, SheafType(2, 0), SheafType(2, 0), SheafType(1, 0), SheafType(1, 1), 0)
 
 
 def test_scan_examples():

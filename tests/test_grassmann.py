@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from bunred import (
@@ -7,11 +5,8 @@ from bunred import (
     GenusContext,
     HeckeRoute,
     InvalidArgument,
-    InvalidType,
     SheafType,
     bun_stack_dim,
-    check_gr_rational,
-    check_map_precondition,
     hecke_det_shift,
     parabolic_dim,
 )
@@ -52,33 +47,3 @@ def test_hecke_det_shift_examples():
     assert hecke_det_shift(2).apply(5) == 3
     with pytest.raises(InvalidArgument):
         hecke_det_shift(0)
-
-
-def test_check_map_precondition():
-    assert check_map_precondition(1, 1, 4, -1, -1)
-    assert check_map_precondition(2, 2, 8, -1, -1)
-    assert not check_map_precondition(3, 2, 8, -1, -1)
-    assert not check_map_precondition(1, 1, 4, -1, 1)
-    assert not check_map_precondition(1, 5, 4, -1, -1)
-
-
-def test_check_gr_rational():
-    assert check_gr_rational(2, SheafType(2, -2))
-    assert not check_gr_rational(1, SheafType(2, -6))
-    assert check_gr_rational(0, SheafType(7, 3))
-    with pytest.raises(InvalidType):
-        check_gr_rational(1, SheafType(0, 2))
-
-
-def test_graph_map_affine_dim_nonnegative():
-    rng = random.Random(21)
-    hits = 0
-    for _ in range(500):
-        j = rng.randint(0, 6)
-        rk_w = rng.randint(0, 8)
-        rk_v = rng.randint(0, 12)
-        w = rng.choice([-1, 1])
-        if check_map_precondition(j, rk_w, rk_v, w, w):
-            assert j * (rk_v - rk_w) >= 0
-            hits += 1
-    assert hits > 50
