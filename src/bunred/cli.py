@@ -61,23 +61,24 @@ def format_trace_text(trace: ReductionTrace, report: VerificationReport | None) 
         f"reduction: Bun{trace.input} -> Bun({trace.h},0)   genus {trace.genus}"
     ]
 
-    def walk(node: StepNode, depth: int) -> None:
-        pad = "  " * (depth + 1)
+    # (node, its indent): one line per node occurrence, in pre-order
+    todo: list[tuple[StepNode, str]] = [(trace.root, "  ")]
+    while todo:
+        node, pad = todo.pop()
         if isinstance(node, BaseStep):
             lines.append(
                 f"{pad}Bun{node.t} --twist {node.twist_degree}--> "
                 f"Bun({node.t.rank},0) ; +affine 0"
             )
-            return
+            continue
         s = node.sol
         lines.append(
             f"{pad}Bun{node.t} --[{s.rF},{s.dF}]--> Gr_{s.h} over Bun({s.r1},{s.d1}) "
             f"; +affine {node.rho_affine + node.hecke_affine}"
         )
-        walk(node.mu1, depth + 1)
-        walk(node.mu2, depth + 1)
-
-    walk(trace.root, 0)
+        pad += "  "
+        todo.append((node.mu2, pad))
+        todo.append((node.mu1, pad))
     m = trace.composite_det
     lines.append(
         f"  det ledger: {m.describe()} ; {trace.input.degree} -> {m.apply(trace.input.degree)}"

@@ -29,16 +29,16 @@ certificate costs no string formatting.
 reduce() builds the tree with one explicit-stack loop, not by recursion, and
 solves and builds each distinct (rank, degree) once: every repeat of a type
 in the tree is the same frozen node.  The table of built types lives for one
-reduce() call only.  It refuses a tree deeper than max_tree_depth() with a
-DomainError, a bound set below the recursion limit so that the recursive
-writers (serialize.trace_to_dict and _node_from_dict, the CLI's text walk)
-can still handle every tree it returns.
+reduce() call only.  It refuses a tree deeper than MAX_TREE_DEPTH with a
+DomainError.  No walker of a tree in this package recurses (the serializer,
+the parser, the CLI's text writer and node equality all use explicit stacks);
+the bound exists for json.loads, which recurses once per nesting level of a
+document and is the only recursive reader of a tree left.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -58,9 +58,15 @@ class BaseStep:
     twist_degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeStep:
-    """One window-solution step plus the two recursive child reductions."""
+    """One window-solution step plus the two recursive child reductions.
+
+    Equality compares every field of every node, as a generated dataclass
+    __eq__ would, but walks the two trees with an explicit stack: the
+    generated one recurses a few frames per level and fails on trees of a
+    few hundred levels.  The hash covers the node's own type and solution.
+    """
 
     t: SheafType
     sol: LemmaSolution
@@ -70,6 +76,29 @@ class CompositeStep:
     mu1: StepNode
     mu2: StepNode
     det_maps: tuple[DegreeAffineMap, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not CompositeStep or b.__class__ is not CompositeStep:
+                if a != b:
+                    return False
+                continue
+            if (a.t, a.sol, a.rkV, a.rho_affine, a.hecke_affine, a.det_maps) != (
+                b.t, b.sol, b.rkV, b.rho_affine, b.hecke_affine, b.det_maps
+            ):
+                return False
+            pairs.append((a.mu2, b.mu2))
+            pairs.append((a.mu1, b.mu1))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.sol))
 
 
 StepNode = Union[BaseStep, CompositeStep]
@@ -122,16 +151,15 @@ def node_depth(node: StepNode) -> int:
     return depth
 
 
-# Frames left below the recursion limit for the callers of the recursive
-# writers of a tree (serialize.trace_to_dict, serialize._node_from_dict and the
-# CLI's text walk), which take one frame per level plus a few at the leaves.
-WRITER_HEADROOM = 60
-
-
-def max_tree_depth() -> int:
-    """Deepest tree reduce() builds: the recursion limit less WRITER_HEADROOM,
-    so that every tree it returns can still be written and read back."""
-    return sys.getrecursionlimit() - WRITER_HEADROOM
+# Deepest tree reduce() builds.  Its reason is json.loads, which recurses
+# once per nesting level of a document and counts against the recursion
+# limit: the trace document of a tree this deep nests 942 levels (the
+# document, one object per tree level, and a determinant-map list and object
+# below the deepest composite), so it still loads at Python's default
+# recursion limit of 1,000 when called from up to about 50 frames deep.  A
+# typical tree has about 1.5 levels per decimal digit of the rank, so this
+# admits most ranks of up to about 600 digits.
+MAX_TREE_DEPTH = 940
 
 
 def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
@@ -140,12 +168,12 @@ def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
     Recursion on r/h: a base step twists degree to 0; otherwise one window
     solution produces the kernel type (r1, d1) and the Hecke target (h1, -h),
     both strictly smaller in the r/h measure.  A tree deeper than
-    max_tree_depth() is refused with a DomainError.
+    MAX_TREE_DEPTH is refused with a DomainError.
     """
     require_genus_ge_2(ctx)
     if t.rank < 1:
         raise InvalidType(f"reduction needs rank >= 1, got {t}")
-    root = _build_tree(ctx, t, max_tree_depth())
+    root = _build_tree(ctx, t)
     return ReductionTrace(
         genus=ctx.genus,
         input=t,
@@ -156,7 +184,7 @@ def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
     )
 
 
-def _build_tree(ctx: GenusContext, t: SheafType, max_depth: int) -> StepNode:
+def _build_tree(ctx: GenusContext, t: SheafType) -> StepNode:
     """The reduction tree of t, each distinct type solved and built once.
 
     One explicit-stack pass: a composite type is entered in the order the
@@ -166,8 +194,8 @@ def _build_tree(ctx: GenusContext, t: SheafType, max_depth: int) -> StepNode:
     children are entered; a base child (r1 = h1, or h1 = h) is made when its
     parent is.  built maps (rank, degree) to its node, so every later
     occurrence of a type is the same frozen node; it lives for this call
-    only.  Depth is checked on the way down, and for a repeated composite
-    subtree when it is reused.
+    only.  Depth is checked against MAX_TREE_DEPTH on the way down, and for a
+    repeated composite subtree when it is reused.
     """
     r, d = t.rank, t.degree
     if d % r == 0:
@@ -181,11 +209,11 @@ def _build_tree(ctx: GenusContext, t: SheafType, max_depth: int) -> StepNode:
         if sol is None:
             node = built.get((t.rank, t.degree))
             if node is not None:
-                if depth + node_depth(node) - 1 > max_depth:
-                    raise _too_deep(max_depth)
+                if depth + node_depth(node) - 1 > MAX_TREE_DEPTH:
+                    raise _too_deep()
                 continue
-            if depth == max_depth:
-                raise _too_deep(max_depth)
+            if depth == MAX_TREE_DEPTH:
+                raise _too_deep()
             sol = solve_lemma(ctx, t)
             todo.append((t, depth, sol))
             if sol.h1 != sol.h:
@@ -225,14 +253,13 @@ def _built_or_base(built: dict[tuple[int, int], StepNode], r: int, d: int) -> St
     return node
 
 
-def _too_deep(max_depth: int) -> DomainError:
+def _too_deep() -> DomainError:
     return DomainError(
-        "the reduction tree is deeper than the recursion limit "
-        f"({sys.getrecursionlimit()}) allows: reduce builds at most {max_depth} "
-        "levels, so that the recursive writers of a tree still have "
-        f"{WRITER_HEADROOM} frames to spare, and a typical tree has about 1.5 "
-        "levels per decimal digit of the rank, so most ranks of more than about "
-        "600 digits are out of range"
+        "the reduction tree is deeper than the recursion limit of json.loads "
+        f"allows: reduce builds at most {MAX_TREE_DEPTH} levels, so that its trace "
+        "document can be read back at Python's default recursion limit, and a "
+        "typical tree has about 1.5 levels per decimal digit of the rank, so most "
+        "ranks of more than about 600 digits are out of range"
     )
 
 

@@ -40,43 +40,49 @@ SCHEMA_VERSION = 1
 
 
 def trace_to_dict(trace: ReductionTrace) -> dict[str, Any]:
-    return {
+    """The trace as a document: one fresh object per node occurrence, made
+    with an explicit stack, so no depth meets the recursion limit."""
+    doc: dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "genus": trace.genus,
         "input": {"rank": trace.input.rank, "degree": trace.input.degree},
         "h": trace.h,
         "total_affine_dim": trace.total_affine_dim,
         "composite_det": _map_to_dict(trace.composite_det),
-        "root": _node_to_dict(trace.root),
     }
+    # (node, the object its document goes in, under which key); mu1 is popped
+    # first, so every object keeps the key order of the schema
+    todo: list[tuple[StepNode, dict[str, Any], str]] = [(trace.root, doc, "root")]
+    while todo:
+        node, parent, key = todo.pop()
+        if isinstance(node, BaseStep):
+            parent[key] = {
+                "kind": "base",
+                "rank": node.t.rank,
+                "degree": node.t.degree,
+                "twist_degree": node.twist_degree,
+            }
+            continue
+        sol = node.sol
+        parent[key] = out = {
+            "kind": "composite",
+            "rF": sol.rF,
+            "dF": sol.dF,
+            "r1": sol.r1,
+            "d1": sol.d1,
+            "h1": sol.h1,
+            "rkV": node.rkV,
+            "rho_affine": node.rho_affine,
+            "hecke_affine": node.hecke_affine,
+            "det_maps": [_map_to_dict(m) for m in node.det_maps],
+        }
+        todo.append((node.mu2, out, "mu2"))
+        todo.append((node.mu1, out, "mu1"))
+    return doc
 
 
 def _map_to_dict(m: DegreeAffineMap) -> dict[str, int]:
     return {"sign": m.sign, "shift": m.shift}
-
-
-def _node_to_dict(node: StepNode) -> dict[str, Any]:
-    if isinstance(node, BaseStep):
-        return {
-            "kind": "base",
-            "rank": node.t.rank,
-            "degree": node.t.degree,
-            "twist_degree": node.twist_degree,
-        }
-    return {
-        "kind": "composite",
-        "rF": node.sol.rF,
-        "dF": node.sol.dF,
-        "r1": node.sol.r1,
-        "d1": node.sol.d1,
-        "h1": node.sol.h1,
-        "rkV": node.rkV,
-        "rho_affine": node.rho_affine,
-        "hecke_affine": node.hecke_affine,
-        "det_maps": [_map_to_dict(m) for m in node.det_maps],
-        "mu1": _node_to_dict(node.mu1),
-        "mu2": _node_to_dict(node.mu2),
-    }
 
 
 def _need(doc: Any, key: str, loc: str) -> Any:
@@ -117,7 +123,7 @@ def trace_from_dict(doc: Any) -> ReductionTrace:
         )
     except BunredError as exc:
         raise ParseError(f"{loc}.input", str(exc)) from exc
-    root = _node_from_dict(_need(doc, "root", loc), t, f"{loc}.root")
+    root = _node_from_dict(doc, "root", t, loc)
     return ReductionTrace(
         genus=genus,
         input=t,
@@ -128,46 +134,74 @@ def trace_from_dict(doc: Any) -> ReductionTrace:
     )
 
 
-def _node_from_dict(doc: Any, t: SheafType, loc: str) -> StepNode:
-    kind = _need(doc, "kind", loc)
-    if kind == "base":
-        try:
-            own = SheafType(_need_int(doc, "rank", loc), _need_int(doc, "degree", loc))
-        except BunredError as exc:
-            raise ParseError(loc, str(exc)) from exc
-        return BaseStep(t=own, twist_degree=_need_int(doc, "twist_degree", loc))
-    if kind != "composite":
-        raise ParseError(f"{loc}.kind", f"expected 'base' or 'composite', got {kind!r}")
+def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
+    """The tree whose document is parent[key], its root of type t; loc is
+    the location of parent.
 
-    sol = LemmaSolution(
-        rF=_need_int(doc, "rF", loc),
-        dF=_need_int(doc, "dF", loc),
-        r1=_need_int(doc, "r1", loc),
-        d1=_need_int(doc, "d1", loc),
-        h=math.gcd(t.rank, t.degree),
-        h1=_need_int(doc, "h1", loc),
-    )
-    maps_doc = _need(doc, "det_maps", loc)
-    if not isinstance(maps_doc, list):
-        raise ParseError(f"{loc}.det_maps", "expected a list")
-    det_maps = tuple(
-        _map_from_dict(m, f"{loc}.det_maps[{i}]") for i, m in enumerate(maps_doc)
-    )
-    try:
-        t1 = SheafType(sol.r1, sol.d1)
-        t2 = SheafType(sol.h1, -sol.h)
-    except BunredError as exc:
-        raise ParseError(loc, f"child types are not representable: {exc}") from exc
-    return CompositeStep(
-        t=t,
-        sol=sol,
-        rkV=_need_int(doc, "rkV", loc),
-        rho_affine=_need_int(doc, "rho_affine", loc),
-        hecke_affine=_need_int(doc, "hecke_affine", loc),
-        mu1=_node_from_dict(_need(doc, "mu1", loc), t1, f"{loc}.mu1"),
-        mu2=_node_from_dict(_need(doc, "mu2", loc), t2, f"{loc}.mu2"),
-        det_maps=det_maps,
-    )
+    One loop, no recursion.  The document is read in pre-order (a node's own
+    fields, then its mu1 subtree, then its mu2 subtree), and a node's mu2 is
+    looked up only once its mu1 subtree has been read, so the first fault
+    reported is the one a depth-first reading meets first.  Nodes are made
+    in post-order, each composite from the two nodes last made.
+    """
+    made: list[StepNode] = []
+    # Popped from the end: (parent, key, type, loc) reads the node at
+    # parent[key]; a dict holds the own fields of a composite node, which is
+    # made once both of its children are.
+    todo: list[Any] = [(parent, key, t, loc)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is dict:
+            mu2 = made.pop()
+            mu1 = made.pop()
+            made.append(CompositeStep(mu1=mu1, mu2=mu2, **item))
+            continue
+        parent, key, t, loc = item
+        doc = _need(parent, key, loc)
+        loc = f"{loc}.{key}"
+        kind = _need(doc, "kind", loc)
+        if kind == "base":
+            try:
+                own = SheafType(_need_int(doc, "rank", loc), _need_int(doc, "degree", loc))
+            except BunredError as exc:
+                raise ParseError(loc, str(exc)) from exc
+            made.append(BaseStep(t=own, twist_degree=_need_int(doc, "twist_degree", loc)))
+            continue
+        if kind != "composite":
+            raise ParseError(f"{loc}.kind", f"expected 'base' or 'composite', got {kind!r}")
+
+        sol = LemmaSolution(
+            rF=_need_int(doc, "rF", loc),
+            dF=_need_int(doc, "dF", loc),
+            r1=_need_int(doc, "r1", loc),
+            d1=_need_int(doc, "d1", loc),
+            h=math.gcd(t.rank, t.degree),
+            h1=_need_int(doc, "h1", loc),
+        )
+        maps_doc = _need(doc, "det_maps", loc)
+        if not isinstance(maps_doc, list):
+            raise ParseError(f"{loc}.det_maps", "expected a list")
+        det_maps = tuple(
+            _map_from_dict(m, f"{loc}.det_maps[{i}]") for i, m in enumerate(maps_doc)
+        )
+        try:
+            t1 = SheafType(sol.r1, sol.d1)
+            t2 = SheafType(sol.h1, -sol.h)
+        except BunredError as exc:
+            raise ParseError(loc, f"child types are not representable: {exc}") from exc
+        todo.append(
+            {
+                "t": t,
+                "sol": sol,
+                "rkV": _need_int(doc, "rkV", loc),
+                "rho_affine": _need_int(doc, "rho_affine", loc),
+                "hecke_affine": _need_int(doc, "hecke_affine", loc),
+                "det_maps": det_maps,
+            }
+        )
+        todo.append((doc, "mu2", t2, loc))
+        todo.append((doc, "mu1", t1, loc))
+    return made[0]
 
 
 def _scalar(value: Any) -> str:
@@ -252,7 +286,9 @@ def loads(text: str) -> ReductionTrace:
     except json.JSONDecodeError as exc:
         raise ParseError(f"$ (offset {exc.pos})", exc.msg) from exc
     except RecursionError:
-        # from json.loads or trace_from_dict, both one frame per nesting level
+        # from json.loads, the one reader that recurses (in C, once per
+        # nesting level): a document from outside can be nested deeper than
+        # any trace reduce builds (reduction.MAX_TREE_DEPTH)
         raise ParseError("$", "document nested too deeply") from None
     except ValueError:
         # from json.loads (trace_from_dict raises only ParseError): an integer

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from dataclasses import replace
 
 import pytest
@@ -225,19 +224,17 @@ def test_reduce_calls_share_nothing():
 def test_depth_bound_admits_a_tree_of_equal_depth(monkeypatch):
     t = SheafType(10**29 + 7, 10**28 + 3)
     depth = node_depth(reduce(G2, t).root)
-    headroom = sys.getrecursionlimit() - depth
-    monkeypatch.setattr(reduction, "WRITER_HEADROOM", headroom)
-    assert reduction.max_tree_depth() == depth
+    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", depth)
+    assert reduction.MAX_TREE_DEPTH == depth
     assert node_depth(reduce(G2, t).root) == depth
-    monkeypatch.setattr(reduction, "WRITER_HEADROOM", headroom + 1)
+    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", depth - 1)
     with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
         reduce(G2, t)
 
 
-# Seeded ranks of ~650 digits whose trees are as deep as the bound allows at
-# the default recursion limit (1,000 - 60 = 940 levels), or nearly:
-# (seed, digits, depth).  The writers recurse from pytest's stack, some 30
-# frames deep.
+# Seeded ranks of ~650 digits whose trees are as deep as the bound allows
+# (MAX_TREE_DEPTH, 940 levels), or nearly: (seed, digits, depth).  json.loads
+# reads them back from pytest's stack, some 30 frames deep.
 DEEP_SEEDS = [("deep/80", 635, 940), ("deep/355", 650, 938)]
 
 
@@ -247,7 +244,19 @@ def test_deepest_trees_are_written_and_read_back(seed, digits, depth):
     assert rng.randrange(625, 660) == digits
     rank = rng.randrange(10 ** (digits - 1), 10**digits)
     trace = reduce(G2, SheafType(rank, rng.randrange(-rank, rank)))
-    assert node_depth(trace.root) == depth <= reduction.max_tree_depth()
+    assert node_depth(trace.root) == depth <= reduction.MAX_TREE_DEPTH
     text = format_trace_text(trace, None)
     assert text.count("\n") == len(_occurrences(trace.root)) + 3
-    assert verify_trace(loads(dumps(trace))).ok
+    back = loads(dumps(trace))
+    assert verify_trace(back).ok
+    assert back == trace and hash(back) == hash(trace)
+    # change one field of the deepest node: the traces are no longer equal
+    path = [back.root]
+    while isinstance(path[-1], CompositeStep):
+        node = path[-1]
+        path.append(node.mu1 if node_depth(node.mu1) >= node_depth(node.mu2) else node.mu2)
+    assert len(path) == depth
+    changed = replace(path[-1], twist_degree=path[-1].twist_degree + 1)
+    for parent, child in zip(path[-2::-1], path[:0:-1]):
+        changed = replace(parent, **{"mu1" if parent.mu1 is child else "mu2": changed})
+    assert replace(back, root=changed) != trace
