@@ -40,6 +40,7 @@ from .reduction import (
     node_composite_det,
     node_depth,
     reduce,
+    trace_ok,
     verify_trace,
 )
 from .serialize import SCHEMA_VERSION, dump, dumps, load, loads, trace_from_dict, trace_to_dict

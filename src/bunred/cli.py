@@ -23,11 +23,12 @@ from .reduction import (
     VerificationReport,
     node_depth,
     reduce,
+    trace_ok,
     verify_trace,
 )
 # `dumps` is not called here; it stays importable as `cli.dumps`, the name
 # under which bench/tracer.py wraps the serialize layer.
-from .serialize import dump, dumps, encode_document, load, trace_to_dict
+from .serialize import dump, dumps, encode_document, int_limit_error, load, trace_to_dict
 from .types import GenusContext, SheafType
 
 
@@ -125,12 +126,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     all_valid = True
     for g in args.genus:
         ctx = GenusContext(g)
+        # the cases of one genus share their subtrees: each type is built
+        # once (built) and each built node verified once (verified)
+        built: dict = {}
+        verified: dict = {}
         for r in range(1, args.max_rank + 1):
             for d in args.degree_range:
-                trace = reduce(ctx, SheafType(r, d))
+                trace = reduce(ctx, SheafType(r, d), built=built)
                 valid = True
                 if not args.no_verify:
-                    valid = verify_trace(trace, strict=False).ok
+                    valid = trace_ok(trace, verified)
                 all_valid &= valid
                 rows.append(
                     {
@@ -314,16 +319,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # Writing an integer longer than Python's int-to-str limit (a result
-        # can be a few digits longer than the inputs); any other ValueError is
-        # a bug and keeps its traceback.
+        # The text writers print an integer longer than Python's int-to-str
+        # limit (a result can be a few digits longer than the inputs); the
+        # document encoder raises int_limit_error() itself.  Any other
+        # ValueError is a bug and keeps its traceback.
         if "integer string conversion" not in str(exc):
             raise
-        print(
-            f"error: a result has an integer of more than {sys.get_int_max_str_digits()} "
-            "digits, the int-to-str limit (sys.get_int_max_str_digits())",
-            file=sys.stderr,
-        )
+        print(f"error: {int_limit_error()}", file=sys.stderr)
         return 1
 
 

@@ -26,12 +26,28 @@ reason.  The checks are module-level tables of plain functions; a check's
 failure detail is formatted only when the check fails, so a passing
 certificate costs no string formatting.
 
+trace_ok() returns what verify_trace(trace, strict=False).ok would, from the
+same check tables, but stops at the first failure and makes no report.  Its
+memo, a dict the caller creates and passes, maps (genus, id(node)) to the
+node: a node is skipped when it is in the memo, and the memo keeps the node
+alive, so its id cannot be reused while the memo lives.  The nodes a call
+walks enter the memo only when the whole trace passes, tail checks included,
+so a memo never holds a node over an unchecked or failing subtree, and it
+holds only results of trace_ok itself, never a value reduce() stored.  A
+node's checks read only the node, its subtree and the genus, and nodes are
+frozen, so a subtree that passed once passes again at the same genus.
+
 reduce() builds the tree with one explicit-stack loop, not by recursion, and
 solves and builds each distinct (rank, degree) once: every repeat of a type
-in the tree is the same frozen node.  The table of built types lives for one
-reduce() call only.  It refuses a tree deeper than MAX_TREE_DEPTH with a
-DomainError.  No walker of a tree in this package recurses (the serializer,
-the parser, the CLI's text writer and node equality all use explicit stacks);
+in the tree is the same frozen node.  The table of built types is fresh for
+each reduce() call unless the caller passes one as `built`; a table belongs
+to one genus, and a caller that reduces many types of one genus (the CLI's
+sweep) can share one, so a type solved for one case is reused by the next.
+A type enters the table only once both of its children are built, so an
+error partway through leaves only complete subtrees in it.  reduce() refuses
+a tree deeper than MAX_TREE_DEPTH with a DomainError, for a reused subtree
+too.  No walker of a tree in this package recurses (the serializer, the
+parser, the CLI's text writer and node equality all use explicit stacks);
 the bound exists for json.loads, which recurses once per nesting level of a
 document and is the only recursive reader of a tree left.
 """
@@ -162,18 +178,27 @@ def node_depth(node: StepNode) -> int:
 MAX_TREE_DEPTH = 940
 
 
-def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
+def reduce(
+    ctx: GenusContext,
+    t: SheafType,
+    *,
+    built: dict[tuple[int, int], StepNode] | None = None,
+) -> ReductionTrace:
     """Build the complete reduction certificate for the type t.
 
     Recursion on r/h: a base step twists degree to 0; otherwise one window
     solution produces the kernel type (r1, d1) and the Hecke target (h1, -h),
     both strictly smaller in the r/h measure.  A tree deeper than
     MAX_TREE_DEPTH is refused with a DomainError.
+
+    built is the table of types already built, (rank, degree) -> node, for
+    ctx's genus only; reduce adds the types it builds to it.  None means a
+    fresh table for this call.
     """
     require_genus_ge_2(ctx)
     if t.rank < 1:
         raise InvalidType(f"reduction needs rank >= 1, got {t}")
-    root = _build_tree(ctx, t)
+    root = _build_tree(ctx, t, {} if built is None else built)
     return ReductionTrace(
         genus=ctx.genus,
         input=t,
@@ -184,7 +209,9 @@ def reduce(ctx: GenusContext, t: SheafType) -> ReductionTrace:
     )
 
 
-def _build_tree(ctx: GenusContext, t: SheafType) -> StepNode:
+def _build_tree(
+    ctx: GenusContext, t: SheafType, built: dict[tuple[int, int], StepNode]
+) -> StepNode:
     """The reduction tree of t, each distinct type solved and built once.
 
     One explicit-stack pass: a composite type is entered in the order the
@@ -193,14 +220,15 @@ def _build_tree(ctx: GenusContext, t: SheafType) -> StepNode:
     type, and its node is made after both of its children.  Only composite
     children are entered; a base child (r1 = h1, or h1 = h) is made when its
     parent is.  built maps (rank, degree) to its node, so every later
-    occurrence of a type is the same frozen node; it lives for this call
-    only.  Depth is checked against MAX_TREE_DEPTH on the way down, and for a
-    repeated composite subtree when it is reused.
+    occurrence of a type, in this tree or in a later one built with the same
+    table, is the same frozen node.  A node enters built only after both of
+    its children, so a DomainError partway through leaves only complete
+    subtrees in it.  Depth is checked against MAX_TREE_DEPTH on the way
+    down, and for a composite subtree already in built when it is reused.
     """
     r, d = t.rank, t.degree
     if d % r == 0:
         return BaseStep(t=t, twist_degree=-(d // r))
-    built: dict[tuple[int, int], StepNode] = {}
     # (type, depth, None) enters a composite type at that depth;
     # (type, depth, sol) makes its node once both children are built.
     todo: list = [(t, 1, None)]
@@ -515,3 +543,63 @@ def _verify_nodes(results: list[CheckResult], ctx: GenusContext, root: StepNode)
         _run(results, path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
         stack.append((node.mu2, path + ".mu2"))
         stack.append((node.mu1, path + ".mu1"))
+
+
+def _all_hold(checks, args: tuple) -> bool:
+    """Whether every check of the table holds on args; a check that cannot
+    be evaluated counts as failed, as in _run."""
+    try:
+        for _, holds, _ in checks:
+            if not holds(*args):
+                return False
+    except Exception:  # noqa: BLE001 - any blowup means "failed"
+        return False
+    return True
+
+
+def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -> bool:
+    """verify_trace(trace, strict=False).ok, without building the report.
+
+    Evaluates the same check tables and returns False at the first failing
+    check.  verified is the caller's memo, (genus, id(node)) -> node, of
+    subtrees that passed in earlier calls: such a node is not walked again
+    (see the module docstring for why that is sound).  The nodes this call
+    walks are added to it only when the whole trace passes.
+    """
+    if not (
+        _all_hold(_TRACE_DOMAIN_CHECKS, (trace,)) and _all_hold(_TRACE_HEAD_CHECKS, (trace,))
+    ):
+        return False
+    g = trace.genus
+    ctx = GenusContext(g)
+    seen: dict[tuple[int, int], StepNode] = {}
+    stack = [trace.root]
+    while stack:
+        node = stack.pop()
+        key = (g, id(node))
+        if key in verified or key in seen:
+            continue
+        seen[key] = node
+        t = node.t
+        if not _all_hold(_NODE_DOMAIN_CHECKS, (t,)):
+            return False
+        r, d = t.rank, t.degree
+        h = math.gcd(r, d)
+        if isinstance(node, BaseStep):
+            if not _all_hold(_BASE_CHECKS, (node, r, d, h)):
+                return False
+            continue
+        if not _all_hold(_COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h)):
+            return False
+        stack.append(node.mu2)
+        stack.append(node.mu1)
+    tail = (
+        trace,
+        node_affine_total(trace.root),
+        (g - 1) * (trace.input.rank**2 - trace.h**2),
+        node_composite_det(trace.root),
+    )
+    if not _all_hold(_TRACE_TAIL_CHECKS, tail):
+        return False
+    verified.update(seen)
+    return True

@@ -32,7 +32,7 @@ from typing import Any
 
 from .affine import DegreeAffineMap
 from .diophantine import LemmaSolution
-from .errors import BunredError, ParseError
+from .errors import BunredError, DomainError, ParseError
 from .reduction import BaseStep, CompositeStep, ReductionTrace, StepNode
 from .types import SheafType
 
@@ -214,8 +214,20 @@ def _scalar(value: Any) -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:
+            raise int_limit_error() from None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def int_limit_error() -> DomainError:
+    """The error for a result with an integer longer than Python's int-to-str
+    limit, which no writer can print."""
+    return DomainError(
+        f"a result has an integer of more than {sys.get_int_max_str_digits()} "
+        "digits, the int-to-str limit (sys.get_int_max_str_digits())"
+    )
 
 
 def encode_document(doc: dict[str, Any]) -> str:
@@ -226,7 +238,8 @@ def encode_document(doc: dict[str, Any]) -> str:
     nest once per level and pass every piece up through all of them, so its
     cost grows with depth times size.  This writer walks the tree with an
     explicit stack instead: its cost is linear in the output, and no depth
-    meets the recursion limit.
+    meets the recursion limit.  An integer longer than the int-to-str limit
+    raises a DomainError (int_limit_error), where json raises ValueError.
     """
     parts: list[str] = []
     # breaks[k]: a line break and k levels of indent, one string shared by

@@ -12,7 +12,7 @@ is there so that `json.loads`, which recurses once per nesting level, can
 read back the document of every tree `reduce` returns at the default
 recursion limit.
 Python's int-to-str limit (`sys.get_int_max_str_digits`, 4,300 digits by
-default) makes `serialize.dumps` raise ValueError on a longer integer, and
+default) makes `serialize.dumps` raise a DomainError on a longer integer, and
 `serialize.loads` reports one as a ParseError; the CLI reports either as an
 error (exit 1).
 """

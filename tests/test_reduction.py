@@ -221,6 +221,37 @@ def test_reduce_calls_share_nothing():
     assert a.root is not b.root
 
 
+def _reduce_or_error(ctx, t, built):
+    try:
+        return dumps(reduce(ctx, t, built=built))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("g", [2, 3])
+def test_a_shared_table_changes_nothing(monkeypatch, g, order):
+    ctx = GenusContext(g)
+    ranks = range(1, 13) if order == "ascending" else range(12, 0, -1)
+    grid = [SheafType(r, d) for r in ranks for d in range(-12, 13)]
+    built = {}
+    for t in grid:
+        shared = reduce(ctx, t, built=built)
+        fresh = reduce(ctx, t)
+        assert shared == fresh and dumps(shared) == dumps(fresh)
+    # a later case is made from the nodes an earlier one built
+    assert reduce(ctx, SheafType(12, 5), built=built).root is built[12, 5]
+
+    # with a bound some trees exceed, a subtree built for a shallow
+    # occurrence can be refused when a later case reuses it deeper down
+    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", 4)
+    built = {}
+    outcomes = [(_reduce_or_error(ctx, t, built), _reduce_or_error(ctx, t, None)) for t in grid]
+    assert all(shared == fresh for shared, fresh in outcomes)
+    refused = sum(fresh.startswith("DomainError: the reduction tree") for _, fresh in outcomes)
+    assert 0 < refused < len(grid)
+
+
 def test_depth_bound_admits_a_tree_of_equal_depth(monkeypatch):
     t = SheafType(10**29 + 7, 10**28 + 3)
     depth = node_depth(reduce(G2, t).root)

@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
 from bunred import (
+    DomainError,
     GenusContext,
     ParseError,
     SheafType,
@@ -181,6 +183,13 @@ def test_encoder_has_no_depth_limit():
         assert out.startswith(piece, pos)
         pos += len(piece)
     assert pos == len(out)
+
+
+def test_integer_beyond_str_limit_is_a_named_error():
+    # the genus is within the limit; rkV and dF are a digit longer
+    trace = reduce(GenusContext(int("9" * sys.get_int_max_str_digits())), SheafType(2, 1))
+    with pytest.raises(DomainError, match=r"^a result has an integer of more than \d+ digits"):
+        dumps(trace)
 
 
 def test_recursion_in_trace_from_dict_is_parse_error(monkeypatch):
