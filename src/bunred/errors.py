@@ -16,7 +16,9 @@ class InvalidArgument(BunredError):
 
 
 class DomainError(BunredError):
-    """The genus is outside the range where the operation is defined."""
+    """The inputs or a result are outside the range the operation handles: a
+    genus below 2, a reduction tree deeper than reduction.MAX_TREE_DEPTH, or
+    an integer past Python's int-to-str limit."""
 
 
 class HypothesisNotMet(BunredError):
@@ -65,5 +67,5 @@ class BaseCaseReached(Exception):
     """Control signal: the input rank already equals hcf(rank, degree).
 
     Deliberately not a BunredError so that blanket error handling never
-    swallows it; callers that recurse catch it explicitly.
+    swallows it; the CLI's solve-lemma catches it explicitly.
     """

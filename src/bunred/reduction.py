@@ -18,23 +18,23 @@ at degree 0.
 
 verify_trace() re-derives every number in the certificate from first
 principles and reports each named check as pass/fail; nothing is trusted
-from the construction, and nothing is cached.  It makes one pre-order pass
-over the tree with an explicit stack (a node's own checks, then its mu1
-subtree, then its mu2 subtree), so its depth is not bounded by the recursion
-limit; node_affine_total and node_depth walk level by level for the same
-reason.  The checks are module-level tables of plain functions; a check's
-failure detail is formatted only when the check fails, so a passing
-certificate costs no string formatting.
+from the construction, and nothing is cached.  trace_ok() returns what
+verify_trace(trace, strict=False).ok would, but stops at the first failure
+and makes no report.  Both make the same pass, _check_trace: one pre-order
+walk with an explicit stack (a node's own checks, then its mu1 subtree, then
+its mu2 subtree), so its depth is not bounded by the recursion limit, over
+module-level tables of plain check functions.  They differ only in the
+runner that evaluates a table: verify_trace's records a row per check and
+formats a failure's detail only when the check fails; trace_ok's ends the
+pass at the first table that does not hold.
 
-trace_ok() returns what verify_trace(trace, strict=False).ok would, from the
-same check tables, but stops at the first failure and makes no report.  Its
-memo, a dict the caller creates and passes, maps (genus, id(node)) to the
-node: a node is skipped when it is in the memo, and the memo keeps the node
-alive, so its id cannot be reused while the memo lives.  The nodes a call
-walks enter the memo only when the whole trace passes, tail checks included,
-so a memo never holds a node over an unchecked or failing subtree, and it
-holds only results of trace_ok itself, never a value reduce() stored.  A
-node's checks read only the node, its subtree and the genus, and nodes are
+trace_ok's memo, a dict the caller creates and passes, maps (genus,
+id(node)) to the node: the pass skips a node in the memo, and the memo keeps
+the node alive, so its id cannot be reused while the memo lives.  The nodes
+a call walks enter the memo only when the whole trace passes, tail checks
+included, so a memo never holds a node over an unchecked or failing subtree,
+and it holds only results of trace_ok itself, never a value reduce() stored.
+A node's checks read only the node, its subtree and the genus, and nodes are
 frozen, so a subtree that passed once passes again at the same genus.
 
 reduce() builds the tree with one explicit-stack loop, not by recursion, and
@@ -54,6 +54,7 @@ document and is the only recursive reader of a tree left.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -474,8 +475,8 @@ _COMPOSITE_CHECKS = (
 
 
 def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:
-    """Record one result per check of the table, evaluated on args; return
-    whether all of them passed.
+    """verify_trace's runner: record one result per check of the table,
+    evaluated on args; return whether all of them passed.
 
     A check that cannot even be evaluated (garbage values in a tampered trace)
     counts as failed, never as an exception escaping the verifier.
@@ -503,22 +504,7 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     report.
     """
     results: list[CheckResult] = []
-    if _run(results, "trace", _TRACE_DOMAIN_CHECKS, (trace,)):
-        _run(results, "trace", _TRACE_HEAD_CHECKS, (trace,))
-        g = trace.genus
-        _verify_nodes(results, GenusContext(g), trace.root)
-        _run(
-            results,
-            "trace",
-            _TRACE_TAIL_CHECKS,
-            (
-                trace,
-                node_affine_total(trace.root),
-                (g - 1) * (trace.input.rank**2 - trace.h**2),
-                node_composite_det(trace.root),
-            ),
-        )
-
+    _check_trace(trace, functools.partial(_run, results), {})
     report = VerificationReport(checks=tuple(results))
     if strict and not report.ok:
         first = report.failures()[0]
@@ -526,80 +512,82 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     return report
 
 
-def _verify_nodes(results: list[CheckResult], ctx: GenusContext, root: StepNode) -> None:
-    """Check every node in one pre-order pass: a node's own checks, then its
-    mu1 subtree, then its mu2 subtree."""
-    stack = [(root, "root")]
-    while stack:
-        node, path = stack.pop()
-        t = node.t
-        if not _run(results, path, _NODE_DOMAIN_CHECKS, (t,)):
-            continue
-        r, d = t.rank, t.degree
-        h = math.gcd(r, d)
-        if isinstance(node, BaseStep):
-            _run(results, path, _BASE_CHECKS, (node, r, d, h))
-            continue
-        _run(results, path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
-        stack.append((node.mu2, path + ".mu2"))
-        stack.append((node.mu1, path + ".mu1"))
+class _CheckFailed(Exception):
+    """Raised by _halt_on_failure to end trace_ok's pass."""
 
 
-def _all_hold(checks, args: tuple) -> bool:
-    """Whether every check of the table holds on args; a check that cannot
+def _halt_on_failure(path: str, checks, args: tuple) -> bool:
+    """trace_ok's runner: True if every check of the table holds on args,
+    else raise _CheckFailed, so it never returns False.  A check that cannot
     be evaluated counts as failed, as in _run."""
-    try:
-        for _, holds, _ in checks:
-            if not holds(*args):
-                return False
-    except Exception:  # noqa: BLE001 - any blowup means "failed"
-        return False
+    for _, holds, _ in checks:
+        try:
+            held = holds(*args)
+        except Exception:  # noqa: BLE001 - any blowup means "failed"
+            held = False
+        if not held:
+            raise _CheckFailed
     return True
 
 
 def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -> bool:
     """verify_trace(trace, strict=False).ok, without building the report.
 
-    Evaluates the same check tables and returns False at the first failing
-    check.  verified is the caller's memo, (genus, id(node)) -> node, of
-    subtrees that passed in earlier calls: such a node is not walked again
-    (see the module docstring for why that is sound).  The nodes this call
-    walks are added to it only when the whole trace passes.
+    The same pass as verify_trace's, ended at the first failing check.
+    verified is the caller's memo, (genus, id(node)) -> node, of subtrees
+    that passed in earlier calls: such a node is not walked again (see the
+    module docstring for why that is sound).  The nodes this call walks are
+    added to it only when the whole trace passes.
     """
-    if not (
-        _all_hold(_TRACE_DOMAIN_CHECKS, (trace,)) and _all_hold(_TRACE_HEAD_CHECKS, (trace,))
-    ):
+    try:
+        walked = _check_trace(trace, _halt_on_failure, verified)
+    except _CheckFailed:
         return False
+    verified.update(walked)
+    return True
+
+
+def _check_trace(
+    trace: ReductionTrace, run, verified: dict[tuple[int, int], StepNode]
+) -> dict[tuple[int, int], StepNode]:
+    """The verifier's one pass; return the nodes it walked, by (genus, id).
+
+    run(path, checks, args) evaluates one check table and says whether all
+    of it held.  The trace's domain checks gate the rest; then come its head
+    checks, every node in pre-order (its own checks, then its mu1 subtree,
+    then its mu2 subtree; a node's type domain gates its other checks), and
+    the tail checks.  A node whose key is in verified is skipped with its
+    subtree.
+    """
+    walked: dict[tuple[int, int], StepNode] = {}
+    if not run("trace", _TRACE_DOMAIN_CHECKS, (trace,)):
+        return walked
+    run("trace", _TRACE_HEAD_CHECKS, (trace,))
     g = trace.genus
     ctx = GenusContext(g)
-    seen: dict[tuple[int, int], StepNode] = {}
-    stack = [trace.root]
+    stack = [(trace.root, "root")]
     while stack:
-        node = stack.pop()
+        node, path = stack.pop()
         key = (g, id(node))
-        if key in verified or key in seen:
+        if key in verified:
             continue
-        seen[key] = node
+        walked[key] = node
         t = node.t
-        if not _all_hold(_NODE_DOMAIN_CHECKS, (t,)):
-            return False
+        if not run(path, _NODE_DOMAIN_CHECKS, (t,)):
+            continue
         r, d = t.rank, t.degree
         h = math.gcd(r, d)
         if isinstance(node, BaseStep):
-            if not _all_hold(_BASE_CHECKS, (node, r, d, h)):
-                return False
+            run(path, _BASE_CHECKS, (node, r, d, h))
             continue
-        if not _all_hold(_COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h)):
-            return False
-        stack.append(node.mu2)
-        stack.append(node.mu1)
+        run(path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
+        stack.append((node.mu2, path + ".mu2"))
+        stack.append((node.mu1, path + ".mu1"))
     tail = (
         trace,
         node_affine_total(trace.root),
         (g - 1) * (trace.input.rank**2 - trace.h**2),
         node_composite_det(trace.root),
     )
-    if not _all_hold(_TRACE_TAIL_CHECKS, tail):
-        return False
-    verified.update(seen)
-    return True
+    run("trace", _TRACE_TAIL_CHECKS, tail)
+    return walked

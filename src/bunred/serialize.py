@@ -303,6 +303,9 @@ def loads(text: str) -> ReductionTrace:
         # nesting level): a document from outside can be nested deeper than
         # any trace reduce builds (reduction.MAX_TREE_DEPTH)
         raise ParseError("$", "document nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        # from json.loads of bytes; a subclass of ValueError, so caught first
+        raise _not_utf8(exc) from None
     except ValueError:
         # from json.loads (trace_from_dict raises only ParseError): an integer
         # longer than Python's int-to-str limit
@@ -318,4 +321,12 @@ def dump(trace: ReductionTrace, path: str) -> None:
 
 def load(path: str) -> ReductionTrace:
     with open(path, encoding="utf-8") as f:
-        return loads(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
+    return loads(text)
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
+    return ParseError("$", f"the text is not UTF-8 ({exc.reason} at byte {exc.start})")

@@ -233,6 +233,15 @@ def test_verify_integer_beyond_str_limit_is_an_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_file_that_is_not_utf8_is_an_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    proc = _run_module("verify", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: $: the text is not UTF-8")
+    assert "Traceback" not in proc.stderr
+
+
 def test_reduce_deeper_than_recursion_limit_is_domain_error():
     # 1,200 digits; the tree is 1,840 levels deep
     rank = 2**3985 + 1

@@ -199,3 +199,16 @@ def test_recursion_in_trace_from_dict_is_parse_error(monkeypatch):
     monkeypatch.setattr(serialize, "trace_from_dict", too_deep)
     with pytest.raises(ParseError, match=r"^\$: document nested too deeply$"):
         loads(dumps(reduce(GenusContext(2), SheafType(2, 1))))
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00", b'{"version": "\xff"}'], ids=["bom", "string"])
+def test_bytes_that_are_not_utf8_are_a_parse_error(data):
+    with pytest.raises(ParseError, match=r"^\$: the text is not UTF-8 \("):
+        loads(data)
+
+
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError, match=r"^\$: the text is not UTF-8 \(invalid start byte"):
+        load(str(path))
