@@ -26,9 +26,9 @@ from .reduction import (
     trace_ok,
     verify_trace,
 )
-# `dumps` is not called here; it stays importable as `cli.dumps`, the name
-# under which bench/tracer.py wraps the serialize layer.
-from .serialize import dump, dumps, encode_document, int_limit_error, load, trace_to_dict
+# `trace_to_dict` is not called here; it stays importable as
+# `cli.trace_to_dict`, a name that bench/tracer.py wraps.
+from .serialize import dump, dumps, int_limit_error, load, trace_to_dict
 from .types import GenusContext, SheafType
 
 
@@ -106,14 +106,15 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     ctx = GenusContext(args.genus)
     trace = reduce(ctx, SheafType(args.rank, args.degree))
-    report = verify_trace(trace, strict=False)
     if args.format == "json":
-        doc = trace_to_dict(trace)
-        doc["valid"] = report.ok
-        _emit(encode_document(doc), args.out)
+        # the document records only the verdict, so no report is built
+        ok = trace_ok(trace, {})
+        _emit(dumps(trace, valid=ok), args.out)
     else:
+        report = verify_trace(trace, strict=False)
+        ok = report.ok
         _emit(format_trace_text(trace, report), args.out)
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -321,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # The text writers print an integer longer than Python's int-to-str
         # limit (a result can be a few digits longer than the inputs); the
-        # document encoder raises int_limit_error() itself.  Any other
+        # document writer raises int_limit_error() itself.  Any other
         # ValueError is a bug and keeps its traceback.
         if "integer string conversion" not in str(exc):
             raise

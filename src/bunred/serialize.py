@@ -16,10 +16,17 @@ Composite nodes do not store their own (rank, degree); it is derived
 top-down (the root's type is the input, a mu1 child has type (r1, d1), a mu2
 child has type (h1, -hcf(parent))).  Parsing is purely syntactic: a document
 with tampered numbers parses fine and is rejected later by verify_trace.
-Output is deterministic (sorted keys, two-space indent, trailing newline), so
-re-serialization is byte-stable.  Emitted integers are plain JSON numbers;
+
+dumps writes the document text straight from the tree, in one explicit-stack
+pass: each node becomes a few pieces in the schema's sorted key order, and
+the indentation of each level is one shared string.  Its bytes equal
+``json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\\n"`` (plus a
+"valid" verdict when asked for), so output is deterministic and
+re-serialization is byte-stable.  trace_to_dict builds the same document as
+objects, for callers that edit it.  Emitted integers are plain JSON numbers;
 consumers limited to 64-bit integers must keep inputs small enough that every
-field fits, which holds for any desk-scale genus/rank/degree.
+field fits, which holds for any desk-scale genus/rank/degree.  Documents are
+read as UTF-8 only, from bytes and files alike.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .affine import DegreeAffineMap
@@ -204,23 +210,6 @@ def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
     return made[0]
 
 
-def _scalar(value: Any) -> str:
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        try:
-            return int.__repr__(value)
-        except ValueError:
-            raise int_limit_error() from None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def int_limit_error() -> DomainError:
     """The error for a result with an integer longer than Python's int-to-str
     limit, which no writer can print."""
@@ -230,71 +219,88 @@ def int_limit_error() -> DomainError:
     )
 
 
-def encode_document(doc: dict[str, Any]) -> str:
-    """The document encoding: sorted keys, two-space indent, trailing newline.
+def dumps(trace: ReductionTrace, *, valid: bool | None = None) -> str:
+    """The trace's document: sorted keys, two-space indent, trailing newline.
 
-    The bytes equal ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
-    With an indent, ``json`` runs its pure-Python encoder, whose generators
-    nest once per level and pass every piece up through all of them, so its
-    cost grows with depth times size.  This writer walks the tree with an
-    explicit stack instead: its cost is linear in the output, and no depth
-    meets the recursion limit.  An integer longer than the int-to-str limit
-    raises a DomainError (int_limit_error), where json raises ValueError.
+    The bytes equal ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for
+    ``doc = trace_to_dict(trace)``, with ``doc["valid"] = valid`` when valid
+    is given, so re-serialization is byte-stable.  Every field must be a
+    plain int (not a bool), as reduce and loads make them.  The text is written
+    straight from the tree, one explicit-stack pass in pre-order, so no depth
+    meets the recursion limit and no document object is built.  An integer
+    longer than the int-to-str limit raises a DomainError (int_limit_error).
     """
-    parts: list[str] = []
+    m, t = trace.composite_det, trace.input
     # breaks[k]: a line break and k levels of indent, one string shared by
-    # every line at that level
-    breaks = ["\n"]
-    # Popped from the end: a str is written as is, a pair is (value, depth).
-    todo: list[Any] = [(doc, 0)]
-    while todo:
-        item = todo.pop()
-        if item.__class__ is str:
-            parts.append(item)
-            continue
-        value, depth = item
-        if not isinstance(value, (dict, list)):
-            parts.append(_scalar(value))
-            continue
-        is_dict = isinstance(value, dict)
-        if not value:
-            parts.append("{}" if is_dict else "[]")
-            continue
-        depth += 1
-        if depth == len(breaks):
-            breaks.append(breaks[-1] + "  ")
-        indent = breaks[depth]
-        todo.append("}" if is_dict else "]")
-        todo.append(breaks[depth - 1])
-        members = sorted(value) if is_dict else value
-        for i in range(len(members) - 1, -1, -1):
-            if is_dict:
-                key = members[i]
-                member = value[key]
-                head = _quote(key) + ": "
+    # every line at that level and written as a part of its own
+    breaks = ["\n", "\n  "]
+    try:
+        parts = [
+            f'{{\n  "composite_det": {{\n    "shift": {m.shift},\n    "sign": {m.sign}\n  }},'
+            f'\n  "genus": {trace.genus},\n  "h": {trace.h},'
+            f'\n  "input": {{\n    "degree": {t.degree},\n    "rank": {t.rank}\n  }},'
+            '\n  "root": '
+        ]
+        # Popped from the end: a list holds parts written as they are, a pair
+        # (node, k) writes the node whose key is at indent level k.
+        todo: list[Any] = [(trace.root, 1)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is list:
+                parts += item
+                continue
+            node, k = item
+            while len(breaks) < k + 4:
+                breaks.append(breaks[-1] + "  ")
+            ind = breaks[k + 1]
+            if isinstance(node, BaseStep):
+                parts += (
+                    "{", ind, f'"degree": {node.t.degree},', ind, '"kind": "base",',
+                    ind, f'"rank": {node.t.rank},', ind, f'"twist_degree": {node.twist_degree}',
+                    breaks[k], "}",
+                )
+                continue
+            sol = node.sol
+            parts += ("{", ind, f'"d1": {sol.d1},', ind, f'"dF": {sol.dF},', ind, '"det_maps": ')
+            if node.det_maps:
+                map_ind, field_ind = breaks[k + 2], breaks[k + 3]
+                sep = "["
+                for dm in node.det_maps:
+                    parts += (
+                        sep, map_ind, "{", field_ind, f'"shift": {dm.shift},',
+                        field_ind, f'"sign": {dm.sign}', map_ind, "}",
+                    )
+                    sep = ","
+                parts += (ind, "],")
             else:
-                member = members[i]
-                head = ""
-            if isinstance(member, (dict, list)):
-                todo.append((member, depth))
-                todo.append(head)
-            else:
-                todo.append(head + _scalar(member))
-            todo.append(indent)
-            if i:
-                todo.append(",")
-        parts.append("{" if is_dict else "[")
-    parts.append("\n")
+                parts.append("[],")
+            parts += (
+                ind, f'"h1": {sol.h1},', ind, f'"hecke_affine": {node.hecke_affine},',
+                ind, '"kind": "composite",', ind, '"mu1": ',
+            )
+            todo.append([
+                ",", ind, f'"r1": {sol.r1},', ind, f'"rF": {sol.rF},',
+                ind, f'"rho_affine": {node.rho_affine},', ind, f'"rkV": {node.rkV}',
+                breaks[k], "}",
+            ])
+            todo.append((node.mu2, k + 1))
+            todo.append([",", ind, '"mu2": '])
+            todo.append((node.mu1, k + 1))
+        parts.append(f',\n  "total_affine_dim": {trace.total_affine_dim},')
+    except ValueError:
+        # from formatting an integer longer than the int-to-str limit
+        raise int_limit_error() from None
+    if valid is not None:
+        parts.append('\n  "valid": true,' if valid else '\n  "valid": false,')
+    parts.append(f'\n  "version": {SCHEMA_VERSION}\n}}\n')
     return "".join(parts)
 
 
-def dumps(trace: ReductionTrace) -> str:
-    """Deterministic serialization; byte-stable under round trips."""
-    return encode_document(trace_to_dict(trace))
-
-
-def loads(text: str) -> ReductionTrace:
+def loads(text: str | bytes) -> ReductionTrace:
+    """The trace of a document; bytes are read as UTF-8, as load reads files."""
     try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
         return trace_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"$ (offset {exc.pos})", exc.msg) from exc
@@ -304,7 +310,7 @@ def loads(text: str) -> ReductionTrace:
         # any trace reduce builds (reduction.MAX_TREE_DEPTH)
         raise ParseError("$", "document nested too deeply") from None
     except UnicodeDecodeError as exc:
-        # from json.loads of bytes; a subclass of ValueError, so caught first
+        # from decoding bytes; a subclass of ValueError, so caught first
         raise _not_utf8(exc) from None
     except ValueError:
         # from json.loads (trace_from_dict raises only ParseError): an integer

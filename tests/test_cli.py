@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from bunred import GenusContext, SheafType, dumps, reduce, trace_to_dict
+from bunred import (
+    GenusContext,
+    SheafType,
+    dumps,
+    reduce,
+    trace_from_dict,
+    trace_to_dict,
+    verify_trace,
+)
 from bunred.cli import main
 
 
@@ -159,6 +167,25 @@ def test_reduce_json_uses_document_encoding(capsys):
     assert main(["reduce", "-g", "2", "-r", "6", "-d", "4", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("field", [None, "dF", "rkV", "hecke_affine"])
+def test_reduce_exit_code_is_the_verifiers_verdict(field, monkeypatch, capsys):
+    # reduce is made to return a tampered trace, so that the JSON path, which
+    # runs trace_ok, and the text path, which runs verify_trace, can fail
+    doc = trace_to_dict(reduce(GenusContext(2), SheafType(6, 4)))
+    if field is not None:
+        doc["root"][field] += 1
+    trace = trace_from_dict(doc)
+    ok = verify_trace(trace, strict=False).ok
+    assert ok is (field is None)
+    monkeypatch.setattr("bunred.cli.reduce", lambda ctx, t: trace)
+    args = ["reduce", "-g", "2", "-r", "6", "-d", "4", "--format"]
+    assert main(args + ["text"]) == (0 if ok else 1)
+    assert ("certificate VALID" in capsys.readouterr().out) is ok
+    assert main(args + ["json"]) == (0 if ok else 1)
+    doc["valid"] = ok
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ handle a tree far deeper than the recursion limit, even when called with
 almost no stack left."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -95,6 +96,47 @@ def test_deep_chain_round_trips_from_a_deep_stack():
     assert lines[5000] == "  " * 5000 + "Bun(1,0) --[1,0]--> Gr_1 over Bun(1,0) ; +affine 1"
     assert lines[5001] == "  " * 5001 + base
     assert lines[-3] == "    " + base
+
+
+def _chain_document(levels):
+    """The document of _chain(levels), piece by piece: one piece per line
+    group, so the ~100 MB text of a deep chain is never held twice."""
+    def base(k):  # a base node whose key is at indent level k
+        pad = "\n" + "  " * (k + 1)
+        return ("{" + pad + '"degree": 0,' + pad + '"kind": "base",' + pad + '"rank": 1,'
+                + pad + '"twist_degree": 0' + "\n" + "  " * k + "}")
+
+    yield ('{\n  "composite_det": {\n    "shift": 0,\n    "sign": 1\n  },\n  "genus": 2,'
+           '\n  "h": 1,\n  "input": {\n    "degree": 0,\n    "rank": 1\n  },\n  "root": ')
+    for k in range(1, levels + 1):
+        pad = "\n" + "  " * (k + 1)
+        yield ("{" + pad + '"d1": 0,' + pad + '"dF": 0,' + pad + '"det_maps": [],' + pad
+               + '"h1": 1,' + pad + '"hecke_affine": 0,' + pad + '"kind": "composite",'
+               + pad + '"mu1": ')
+    yield base(levels + 1)
+    for k in range(levels, 0, -1):
+        pad = "\n" + "  " * (k + 1)
+        yield ("," + pad + '"mu2": ' + base(k + 1) + "," + pad + '"r1": 1,' + pad + '"rF": 1,'
+               + pad + '"rho_affine": 1,' + pad + '"rkV": 1' + "\n" + "  " * k + "}")
+    yield ',\n  "total_affine_dim": 0,\n  "valid": true,\n  "version": 1\n}\n'
+
+
+def test_chain_document_pieces_match_stdlib():
+    doc = trace_to_dict(_chain(3))
+    doc["valid"] = True
+    assert "".join(_chain_document(3)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_deep_chain_document_is_written_from_a_deep_stack():
+    # twice the recursion limit: deep enough, and the text stays ~70 MB
+    levels = 2 * sys.getrecursionlimit()
+    depth, out = _deep_stack(lambda: dumps(_chain(levels), valid=True))
+    assert depth >= STACK_FRAMES
+    pos = 0
+    for piece in _chain_document(levels):
+        assert out.startswith(piece, pos)
+        pos += len(piece)
+    assert pos == len(out)
 
 
 def test_deep_chain_document_is_refused_by_json_loads():

@@ -1,6 +1,7 @@
 """Property tests of reduce, the trace document and the verifier on ranks of
 up to about 100 digits."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -66,6 +67,17 @@ def test_round_trip_is_byte_stable(g, t):
     r, d = t
     text = dumps(reduce(GenusContext(g), SheafType(r, d)))
     assert dumps(loads(text)) == text
+
+
+@settings(max_examples=25, deadline=None)
+@given(genera, types(), st.sampled_from((None, True, False)))
+def test_dumps_matches_stdlib(g, t, valid):
+    r, d = t
+    trace = reduce(GenusContext(g), SheafType(r, d))
+    doc = trace_to_dict(trace)
+    if valid is not None:
+        doc["valid"] = valid
+    assert dumps(trace, valid=valid) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _int_fields(doc):

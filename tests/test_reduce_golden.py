@@ -8,6 +8,12 @@ that `bunred reduce` prints (tree, determinant ledger, total and verdict).
 The digests were recorded from the recursive builder that solved every
 occurrence of a repeated subtree again, so a builder that shares subtrees
 must write the same bytes.
+
+A third digest per band, of what `bunred reduce --format json` prints
+(the document with its "valid" verdict), was recorded when that command
+still built the document as a dict, verified with `verify_trace` and
+encoded the dict, so the writer that works straight from the tree must
+print the same bytes.
 """
 
 import hashlib
@@ -37,6 +43,13 @@ PINS = {
     ),
 }
 
+CLI_JSON_PINS = {
+    6: "d518a9c6886396f3614e29397d68c77b01c387c856446447d09047bc6f98d590",
+    30: "ce73baaed2081efd116e7b3fbe831ea1c90b8104afba63e40585bfc39c5e808a",
+    100: "b45cf2a0e5f5b22e02e989b0dd75b9b7b1afd39d2b811c7f7b75dc9cf7cfaa9d",
+    300: "3f92cccc34b595394fb575a30efdf19865c367a80a9e6e6d7cdd4c1d878151c2",
+}
+
 
 def _seeded_type(digits, genus):
     rng = random.Random(f"reduce-golden/{digits}/{genus}")
@@ -57,3 +70,14 @@ def test_reduce_output_is_pinned(digits, capsys):
         assert main(["reduce", "-g", str(g), "-r", str(rank), "-d", str(degree)]) == 0
         text_digest.update(capsys.readouterr().out.encode())
     assert (json_digest.hexdigest(), text_digest.hexdigest()) == PINS[digits]
+
+
+@pytest.mark.parametrize("digits", sorted(CLI_JSON_PINS))
+def test_reduce_json_output_is_pinned(digits, capsys):
+    digest = hashlib.sha256()
+    for g in range(2, 5):
+        rank, degree = _seeded_type(digits, g)
+        args = ["reduce", "-g", str(g), "-r", str(rank), "-d", str(degree), "--format", "json"]
+        assert main(args) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CLI_JSON_PINS[digits]

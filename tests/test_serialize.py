@@ -1,7 +1,7 @@
-import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +20,6 @@ from bunred import (
     verify_trace,
 )
 from bunred import serialize
-from bunred.serialize import encode_document
 
 
 def _traces():
@@ -117,79 +116,59 @@ def _stdlib(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def test_encoder_matches_stdlib_on_grid():
+def _stdlib_doc(trace, valid):
+    doc = trace_to_dict(trace)
+    if valid is not None:
+        doc["valid"] = valid
+    return _stdlib(doc)
+
+
+def test_dumps_matches_stdlib_on_grid():
     for g in (2, 3, 4):
         ctx = GenusContext(g)
         for r in range(1, 13):
             for d in range(-12, 13):
-                doc = trace_to_dict(reduce(ctx, SheafType(r, d)))
-                assert encode_document(doc) == _stdlib(doc)
-                doc["valid"] = d % 2 == 0
-                assert encode_document(doc) == _stdlib(doc)
+                trace = reduce(ctx, SheafType(r, d))
+                for valid in (None, True, False):
+                    assert dumps(trace, valid=valid) == _stdlib_doc(trace, valid)
 
 
 @pytest.mark.parametrize("digits,valid", [(100, True), (300, None)])
-def test_encoder_matches_stdlib_on_big_ranks(digits, valid):
+def test_dumps_matches_stdlib_on_big_ranks(digits, valid):
     # the stdlib oracle takes ~2 s on a 300-digit trace, so each runs once
     rng = random.Random(digits)
     r = rng.randrange(10 ** (digits - 1), 10**digits)
     d = rng.randrange(-(10**digits), 10**digits)
-    doc = trace_to_dict(reduce(GenusContext(rng.randrange(2, 5)), SheafType(r, d)))
-    if valid is not None:
-        doc["valid"] = valid
-    assert encode_document(doc) == _stdlib(doc)
+    trace = reduce(GenusContext(rng.randrange(2, 5)), SheafType(r, d))
+    assert dumps(trace, valid=valid) == _stdlib_doc(trace, valid)
 
 
-def test_encoder_matches_stdlib_on_random_values():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    scalars = (
-        st.none()
-        | st.booleans()
-        | st.integers()
-        | st.integers(min_value=-(10**300), max_value=10**300)
-        | st.text()
-    )
-    values = st.recursive(
-        scalars,
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-        max_leaves=40,
-    )
-
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(values)
-    def check(value):
-        assert encode_document(value) == _stdlib(value)
-
-    check()
-
-
-def test_encoder_has_no_depth_limit():
-    depth = 10_000
-    doc = {}
-    for _ in range(depth):
-        doc = {"a": doc}
-    out = encode_document(doc)
-    # indented, the text is ~200 MB, so the expected one is compared in pieces
-    pieces = itertools.chain(
-        ["{"],
-        ("\n" + "  " * k + '"a": {' for k in range(1, depth + 1)),
-        ["}"],
-        ("\n" + "  " * k + "}" for k in range(depth - 1, -1, -1)),
-        ["\n"],
-    )
-    pos = 0
-    for piece in pieces:
-        assert out.startswith(piece, pos)
-        pos += len(piece)
-    assert pos == len(out)
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_dumps_matches_stdlib_on_tampered_det_maps(count):
+    # no trace reduce builds has a composite with 0, 3 or 5 det_maps
+    doc = trace_to_dict(reduce(GenusContext(3), SheafType(7, 3)))
+    doc["root"]["det_maps"] = [{"sign": (-1) ** i, "shift": 10 * i - 7} for i in range(count)]
+    trace = trace_from_dict(doc)
+    assert len(trace.root.det_maps) == count
+    assert dumps(trace) == _stdlib(doc)
+    assert dumps(trace, valid=False) == _stdlib_doc(trace, False)
 
 
 def test_integer_beyond_str_limit_is_a_named_error():
     # the genus is within the limit; rkV and dF are a digit longer
     trace = reduce(GenusContext(int("9" * sys.get_int_max_str_digits())), SheafType(2, 1))
-    with pytest.raises(DomainError, match=r"^a result has an integer of more than \d+ digits"):
-        dumps(trace)
+    for valid in (None, True):
+        with pytest.raises(DomainError, match=r"^a result has an integer of more than \d+ digits"):
+            dumps(trace, valid=valid)
+
+
+@pytest.mark.parametrize("field", ["h", "total_affine_dim"])
+def test_integer_beyond_str_limit_outside_the_tree(field):
+    trace = reduce(GenusContext(2), SheafType(2, 1))
+    trace = replace(trace, **{field: 10 ** sys.get_int_max_str_digits()})
+    with pytest.raises(DomainError) as exc:
+        dumps(trace, valid=True)
+    assert str(exc.value) == str(serialize.int_limit_error())
 
 
 def test_recursion_in_trace_from_dict_is_parse_error(monkeypatch):
@@ -212,3 +191,28 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(ParseError, match=r"^\$: the text is not UTF-8 \(invalid start byte"):
         load(str(path))
+
+
+def test_bytes_are_read_as_utf8_only():
+    # json.loads alone would take these bytes for UTF-16; load reads the
+    # same bytes from a file, and both refuse them alike
+    with pytest.raises(ParseError, match=r"^\$: the text is not UTF-8 \(invalid start byte at byte 0\)$"):
+        loads(dumps(reduce(GenusContext(2), SheafType(2, 1))).encode("utf-16"))
+
+
+def test_file_in_utf16_is_the_same_parse_error(tmp_path):
+    data = dumps(reduce(GenusContext(2), SheafType(2, 1))).encode("utf-16")
+    path = tmp_path / "utf16.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as from_file:
+        load(str(path))
+    with pytest.raises(ParseError) as from_bytes:
+        loads(data)
+    assert str(from_file.value) == str(from_bytes.value)
+    assert str(from_file.value).startswith("$: the text is not UTF-8 (")
+
+
+def test_utf8_bytes_round_trip():
+    trace = reduce(GenusContext(3), SheafType(6, 4))
+    assert loads(dumps(trace).encode("utf-8")) == trace
+    assert loads(bytearray(dumps(trace).encode("utf-8"))) == trace
