@@ -32,12 +32,16 @@ class DegreeAffineMap:
 
 
 def compose_det(maps: Iterable[DegreeAffineMap]) -> DegreeAffineMap:
-    """Left-to-right composition; the first map in the sequence acts first.
+    """Left-to-right composition; the first map in the sequence acts first."""
+    return DegreeAffineMap(*_fold_det(maps))
 
-    (s1,c1) followed by (s2,c2) is (s2*s1, s2*c1 + c2); the pairs are folded
-    as plain integers and one map is built at the end.
+
+def _fold_det(maps: Iterable[DegreeAffineMap]) -> tuple[int, int]:
+    """compose_det's (sign, shift), folded as plain integers with no map built.
+
+    (s1,c1) followed by (s2,c2) is (s2*s1, s2*c1 + c2).
     """
     sign, shift = 1, 0
     for m in maps:
         sign, shift = m.sign * sign, m.sign * shift + m.shift
-    return DegreeAffineMap(sign, shift)
+    return sign, shift

@@ -123,7 +123,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise BunredError("sweep genus values must be >= 2")
     if args.traces_dir is not None:
         os.makedirs(args.traces_dir, exist_ok=True)
-    rows = []
+    # one (genus, rank, degree, h, n, depth, valid) tuple per case
+    rows: list[tuple] = []
     all_valid = True
     for g in args.genus:
         ctx = GenusContext(g)
@@ -139,31 +140,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     valid = trace_ok(trace, verified)
                 all_valid &= valid
                 rows.append(
-                    {
-                        "genus": g,
-                        "rank": r,
-                        "degree": d,
-                        "h": trace.h,
-                        "n": trace.total_affine_dim,
-                        "depth": node_depth(trace.root),
-                        "valid": valid,
-                    }
+                    (g, r, d, trace.h, trace.total_affine_dim, node_depth(trace.root), valid)
                 )
                 if args.traces_dir is not None:
                     dump(trace, os.path.join(args.traces_dir, f"trace_g{g}_r{r}_d{d}.json"))
     if args.format == "json":
-        out = json.dumps({"rows": rows, "cases": len(rows), "all_valid": all_valid}, indent=2)
-        _emit(out + "\n", args.out)
+        _emit(_sweep_json(rows, all_valid), args.out)
     else:
         lines = [f"{'g':>3} {'r':>4} {'d':>5} {'h':>4} {'n':>6} {'depth':>6} valid"]
-        for row in rows:
+        for g, r, d, h, n, depth, valid in rows:
             lines.append(
-                f"{row['genus']:>3} {row['rank']:>4} {row['degree']:>5} {row['h']:>4} "
-                f"{row['n']:>6} {row['depth']:>6} {'yes' if row['valid'] else 'NO'}"
+                f"{g:>3} {r:>4} {d:>5} {h:>4} {n:>6} {depth:>6} {'yes' if valid else 'NO'}"
             )
-        lines.append(f"{len(rows)} cases, {sum(1 for r_ in rows if r_['valid'])} valid")
+        lines.append(f"{len(rows)} cases, {sum(1 for row in rows if row[-1])} valid")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_valid else 1
+
+
+def _sweep_json(rows: list[tuple], all_valid: bool) -> str:
+    """sweep's JSON table, written straight from the row tuples with one
+    f-string per row.  The bytes equal ``json.dumps({"rows": [...], "cases":
+    len(rows), "all_valid": all_valid}, indent=2) + "\\n"``, each row an object
+    with the keys genus, rank, degree, h, n, depth and valid, in that order.
+    """
+    body = ",".join([
+        f'\n    {{\n      "genus": {g},\n      "rank": {r},\n      "degree": {d},'
+        f'\n      "h": {h},\n      "n": {n},\n      "depth": {depth},'
+        f'\n      "valid": {"true" if valid else "false"}\n    }}'
+        for g, r, d, h, n, depth, valid in rows
+    ])
+    table = f"[{body}\n  ]" if rows else "[]"
+    verdict = "true" if all_valid else "false"
+    return f'{{\n  "rows": {table},\n  "cases": {len(rows)},\n  "all_valid": {verdict}\n}}\n'
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

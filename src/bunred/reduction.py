@@ -18,7 +18,9 @@ at degree 0.
 
 verify_trace() re-derives every number in the certificate from first
 principles and reports each named check as pass/fail; nothing is trusted
-from the construction, and nothing is cached.  trace_ok() returns what
+from the construction, and nothing is cached.  The det_segments check
+compares a node's stored segments with the re-derived ones as integer
+(sign, shift) pairs and builds no map to do it.  trace_ok() returns what
 verify_trace(trace, strict=False).ok would, but stops at the first failure
 and makes no report.  Both make the same pass, _check_trace: one pre-order
 walk with an explicit stack (a node's own checks, then its mu1 subtree, then
@@ -59,7 +61,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .affine import DegreeAffineMap, compose_det
+from .affine import DegreeAffineMap, _fold_det, compose_det
 from .diophantine import LemmaSolution, solve_lemma
 from .errors import CertificateInvalid, DomainError, InvalidType
 from .euler import euler_form
@@ -136,6 +138,14 @@ def node_composite_det(node: StepNode) -> DegreeAffineMap:
     if isinstance(node, BaseStep):
         return DegreeAffineMap(1, node.t.rank * node.twist_degree)
     return compose_det(node.det_maps)
+
+
+def _node_det_pair(node: StepNode) -> tuple[int, int]:
+    """node_composite_det(node) as its (sign, shift) pair, with no map built:
+    the same fold, which compose_det wraps."""
+    if isinstance(node, BaseStep):
+        return 1, node.t.rank * node.twist_degree
+    return _fold_det(node.det_maps)
 
 
 def node_affine_total(node: StepNode) -> int:
@@ -460,18 +470,34 @@ _COMPOSITE_CHECKS = (
         lambda ctx, n, s, r, d, h: f"children are {n.mu1.t}, {n.mu2.t}; "
         f"expected ({s.r1},{s.d1}), ({s.h1},{-h})",
     ),
+    # The four segments are compared as integer (sign, shift) pairs; see
+    # _det_segments_hold.
     (
         "det_segments",
-        lambda ctx, n, s, r, d, h: n.det_maps
-        == (
-            DegreeAffineMap(-1, h * s.dF),
-            node_composite_det(n.mu1),
-            hecke_det_shift(h),
-            node_composite_det(n.mu2),
-        ),
+        lambda ctx, n, s, r, d, h: _det_segments_hold(n, s, h),
         lambda ctx, n, s, r, d, h: "stored determinant segments differ from the re-derived ones",
     ),
 )
+
+
+def _det_segments_hold(n: CompositeStep, s: LemmaSolution, h: int) -> bool:
+    """Whether n stores the segments [deg -> h*dF - deg, mu1's composite,
+    deg -> deg - h, mu2's composite], compared as integer (sign, shift) pairs
+    with no map built.
+
+    The verdict is the one comparing them as maps gives.  The re-derived
+    pairs come first, so a child whose segments cannot be folded makes the
+    check not evaluable whatever n stores; stored segments that are not a
+    tuple of four DegreeAffineMaps differ.
+    """
+    expected = ((-1, h * s.dF), _node_det_pair(n.mu1), (1, -h), _node_det_pair(n.mu2))
+    maps = n.det_maps
+    if not isinstance(maps, tuple) or len(maps) != 4:
+        return False
+    a, b, c, e = maps
+    return a.__class__ is b.__class__ is c.__class__ is e.__class__ is DegreeAffineMap and (
+        (a.sign, a.shift), (b.sign, b.shift), (c.sign, c.shift), (e.sign, e.shift)
+    ) == expected
 
 
 def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:

@@ -21,6 +21,7 @@ import pytest
 from bunred import (
     BaseStep,
     CompositeStep,
+    DegreeAffineMap,
     GenusContext,
     ParseError,
     SheafType,
@@ -194,3 +195,33 @@ def test_memo_is_kept_per_genus():
     assert report.failed_names() == {"euler_equation", "hom_bundle_rank", "dimension_identity"}
     assert all(c.path.startswith(("root.mu1", "root.mu2")) for c in report.failures())
     assert not trace_ok(mixed, verified)
+
+
+DET_DETAIL = "stored determinant segments differ from the re-derived ones"
+
+
+@pytest.mark.parametrize("segment", range(4))
+@pytest.mark.parametrize("deeper", [False, True], ids=["root", "deeper"])
+def test_negated_segment_sign_fails_det_segments(segment, deeper):
+    """A segment whose sign is negated and shift kept.
+
+    The +-1 changes above cannot make one: they turn a sign into 0 or 2,
+    which loads refuses, so the sign is flipped on the frozen tree.
+    """
+    trace = reduce(GenusContext(2), SheafType(12, 7))
+    path = _path_to_a_bottom_composite(trace)
+    where = "root.mu1.mu1.mu2"
+    if not deeper:
+        path, where = path[:1], "root"
+    node = path[-1]
+    assert node.t == (SheafType(4, -2) if deeper else trace.input)
+    maps = list(node.det_maps)
+    maps[segment] = DegreeAffineMap(-maps[segment].sign, maps[segment].shift)
+    bad = _with_node(trace, path, replace(node, det_maps=tuple(maps)))
+
+    failures = [(c.path, c.name, c.detail) for c in verify_trace(bad, strict=False).failures()]
+    assert (where, "det_segments", DET_DETAIL) in failures
+    assert not trace_ok(bad, {})
+    verified = {}
+    assert trace_ok(trace, verified)  # warms the memo with every untampered node
+    assert not trace_ok(bad, verified)

@@ -5,6 +5,7 @@ the (path, name, detail) triple the verifier reports for the check it breaks.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from bunred import (
     GenusContext,
     SheafType,
     reduce,
+    trace_ok,
     verify_trace,
 )
 
@@ -160,3 +162,41 @@ def test_hecke_divisibility_fails_only_as_not_evaluable(h1):
         hecke = [c for c in report.failures() if c.name == "hecke_divisibility"]
         assert [c.path for c in hecke] == ["root"]
         assert hecke[0].detail.startswith("not evaluable: ")
+
+
+DEEP = reduce(GenusContext(2), SheafType(12, 7))
+MU1_MAPS = DEEP.root.mu1.det_maps
+DIFFER = "stored determinant segments differ from the re-derived ones"
+
+
+def _not_evaluable(kind):
+    return f"not evaluable: '{kind}' object has no attribute 'sign'"
+
+
+@pytest.mark.parametrize(
+    "det_maps,root_detail",
+    [
+        (list(MU1_MAPS), None),
+        (MU1_MAPS[:3], DIFFER),
+        (MU1_MAPS + (MU1_MAPS[0],), DIFFER),
+        ((*MU1_MAPS[:3], (MU1_MAPS[3].sign, MU1_MAPS[3].shift)), _not_evaluable("tuple")),
+        ((*MU1_MAPS[:3], SimpleNamespace(sign=MU1_MAPS[3].sign, shift=MU1_MAPS[3].shift)), None),
+        ((MU1_MAPS[0], 7, *MU1_MAPS[2:]), _not_evaluable("int")),
+        ((*MU1_MAPS[:3], None), _not_evaluable("NoneType")),
+    ],
+    ids=["list", "three", "five", "pair", "lookalike", "int", "none"],
+)
+def test_det_maps_that_are_not_a_tuple_of_four_maps_differ(det_maps, root_detail):
+    """Stored segments that are not a tuple of four DegreeAffineMaps differ
+    from the re-derived ones, even where a pair or a look-alike object holds
+    the same values.  The parent folds them into its own expected segments:
+    a list or a look-alike folds to the same map, so the parent passes; a
+    wrong count folds to another map; a non-map cannot be folded, so the
+    parent's check is not evaluable."""
+    trace = replace(DEEP, root=replace(DEEP.root, mu1=replace(DEEP.root.mu1, det_maps=det_maps)))
+    failures = [(c.path, c.name, c.detail) for c in verify_trace(trace, strict=False).failures()]
+    expected = [("root.mu1", "det_segments", DIFFER)]
+    if root_detail is not None:
+        expected.insert(0, ("root", "det_segments", root_detail))
+    assert failures == expected
+    assert not trace_ok(trace, {})
