@@ -216,7 +216,11 @@ def _cmd_solve_lemma(args: argparse.Namespace) -> int:
     try:
         sol = solve_lemma(ctx, t)
     except BaseCaseReached:
-        _emit(f"Bun{t}: base case (rank = hcf); reduction is a twist\n", args.out)
+        if args.format == "json":
+            doc = {"base_case": True, "twist_degree": -(t.degree // t.rank)}
+            _emit(json.dumps(doc) + "\n", args.out)
+        else:
+            _emit(f"Bun{t}: base case (rank = hcf); reduction is a twist\n", args.out)
         return 0
     if args.format == "json":
         doc = {"rF": sol.rF, "dF": sol.dF, "r1": sol.r1, "d1": sol.d1, "h": sol.h, "h1": sol.h1}
@@ -274,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_type:
             p.add_argument("--t1", type=_parse_pair, required=True, metavar="r,d")
             p.add_argument("--t2", type=_parse_pair, required=True, metavar="r,d")
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("reduce", help="build and verify one reduction certificate")
@@ -287,13 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-range", type=_parse_range, required=True, metavar="a..b")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--traces-dir", metavar="DIR")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="verify a serialized trace document")
     p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_verify)
 
@@ -314,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=20)
     p.set_defaults(func=_cmd_scan_splittings)
 
+    # generic-hom and scan-splittings print text only
+    for name in ("reduce", "sweep", "verify", "chi", "solve-lemma"):
+        sub.choices[name].add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

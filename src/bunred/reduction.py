@@ -14,21 +14,25 @@ the per-segment determinant-degree maps:
       child 2's composite ]
 
 A base step (rank == h) is a twist by the unique line-bundle degree landing
-at degree 0.
+at degree 0.  The total affine dimension is stored in closed form,
+dim Bun(r,d) - dim Bun(h,0) = (g-1)(r^2-h^2).
 
 verify_trace() re-derives every number in the certificate from first
 principles and reports each named check as pass/fail; nothing is trusted
-from the construction, and nothing is cached.  The det_segments check
-compares a node's stored segments with the re-derived ones as integer
-(sign, shift) pairs and builds no map to do it.  trace_ok() returns what
-verify_trace(trace, strict=False).ok would, but stops at the first failure
-and makes no report.  Both make the same pass, _check_trace: one pre-order
-walk with an explicit stack (a node's own checks, then its mu1 subtree, then
-its mu2 subtree), so its depth is not bounded by the recursion limit, over
-module-level tables of plain check functions.  They differ only in the
-runner that evaluates a table: verify_trace's records a row per check and
-formats a failure's detail only when the check fails; trace_ok's ends the
-pass at the first table that does not hold.
+from the construction, and nothing is cached: it sums the nodes' affine
+dimensions and checks stored == node sum == closed form.  A check computes
+what it reads (a node's type, the tail's node sum and composite) inside the
+runner, so a value of the wrong kind there fails a check instead of raising.
+The det_segments check compares a node's stored segments with the re-derived
+ones as integer (sign, shift) pairs and builds no map to do it.  trace_ok()
+returns what verify_trace(trace, strict=False).ok would, but stops at the
+first failure and makes no report.  Both make the same pass, _check_trace:
+one pre-order walk with an explicit stack (a node's own checks, then its mu1
+subtree, then its mu2 subtree), so its depth is not bounded by the recursion
+limit, over module-level tables of plain check functions.  They differ only
+in the runner that evaluates a table: verify_trace's records a row per check
+and formats a failure's detail only when the check fails; trace_ok's ends
+the pass at the first table that does not hold.
 
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
@@ -210,12 +214,14 @@ def reduce(
     if t.rank < 1:
         raise InvalidType(f"reduction needs rank >= 1, got {t}")
     root = _build_tree(ctx, t, {} if built is None else built)
+    h = hcf_of_type(t)
     return ReductionTrace(
         genus=ctx.genus,
         input=t,
-        h=hcf_of_type(t),
+        h=h,
         root=root,
-        total_affine_dim=node_affine_total(root),
+        # dim Bun(r,d) - dim Bun(h,0); the verifier checks it against the node sum
+        total_affine_dim=(ctx.genus - 1) * (t.rank**2 - h**2),
         composite_det=node_composite_det(root),
     )
 
@@ -354,31 +360,32 @@ _TRACE_HEAD_CHECKS = (
     ),
 )
 
-# Trace-level checks on (trace, node sum of affine dimensions, (g-1)(r^2-h^2),
-# recomputed composite determinant map).
+# Trace-level checks on (trace) that end the pass; each derives its values
+# from the tree itself, so a tree they cannot be derived from fails it.
 _TRACE_TAIL_CHECKS = (
     (
         "total_affine_dim",
-        lambda tr, total, expected, det: tr.total_affine_dim == total == expected,
-        lambda tr, total, expected, det: f"stored {tr.total_affine_dim}, node sum {total}, "
-        f"(g-1)(r^2-h^2) = {expected}",
+        lambda tr: tr.total_affine_dim
+        == node_affine_total(tr.root)
+        == (tr.genus - 1) * (tr.input.rank**2 - tr.h**2),
+        lambda tr: f"stored {tr.total_affine_dim}, node sum {node_affine_total(tr.root)}, "
+        f"(g-1)(r^2-h^2) = {(tr.genus - 1) * (tr.input.rank**2 - tr.h**2)}",
     ),
     (
         "composite_det",
-        lambda tr, total, expected, det: tr.composite_det == det,
-        lambda tr, total, expected, det: f"stored {tr.composite_det}, recomputed {det}",
+        lambda tr: tr.composite_det == node_composite_det(tr.root),
+        lambda tr: f"stored {tr.composite_det}, recomputed {node_composite_det(tr.root)}",
     ),
     (
         "det_sends_to_zero",
-        lambda tr, total, expected, det: det.apply(tr.input.degree) == 0,
-        lambda tr, total, expected, det: f"composite sends {tr.input.degree} to "
-        f"{det.apply(tr.input.degree)}",
+        lambda tr: _det_image(tr) == 0,
+        lambda tr: f"composite sends {tr.input.degree} to {_det_image(tr)}",
     ),
 )
 
-# Checks on (type) of every node; the node's other checks need it to pass.
+# Checks on (node) of every node; the node's other checks need it to pass.
 _NODE_DOMAIN_CHECKS = (
-    ("node_type_domain", lambda t: t.rank >= 1, lambda t: f"type {t} has rank 0"),
+    ("node_type_domain", lambda n: n.t.rank >= 1, lambda n: f"type {n.t} has rank 0"),
 )
 
 # Checks on (node, r, d, h) of a base step, (r, d) its type and h = hcf(r, d).
@@ -500,6 +507,13 @@ def _det_segments_hold(n: CompositeStep, s: LemmaSolution, h: int) -> bool:
     ) == expected
 
 
+def _det_image(tr: ReductionTrace) -> int:
+    """Where the root's composite determinant map sends the input degree,
+    folded as an integer (sign, shift) pair with no map built."""
+    sign, shift = _node_det_pair(tr.root)
+    return sign * tr.input.degree + shift
+
+
 def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:
     """verify_trace's runner: record one result per check of the table,
     evaluated on args; return whether all of them passed.
@@ -598,10 +612,9 @@ def _check_trace(
         if key in verified:
             continue
         walked[key] = node
-        t = node.t
-        if not run(path, _NODE_DOMAIN_CHECKS, (t,)):
+        if not run(path, _NODE_DOMAIN_CHECKS, (node,)):
             continue
-        r, d = t.rank, t.degree
+        r, d = node.t.rank, node.t.degree
         h = math.gcd(r, d)
         if isinstance(node, BaseStep):
             run(path, _BASE_CHECKS, (node, r, d, h))
@@ -609,11 +622,5 @@ def _check_trace(
         run(path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
         stack.append((node.mu2, path + ".mu2"))
         stack.append((node.mu1, path + ".mu1"))
-    tail = (
-        trace,
-        node_affine_total(trace.root),
-        (g - 1) * (trace.input.rank**2 - trace.h**2),
-        node_composite_det(trace.root),
-    )
-    run("trace", _TRACE_TAIL_CHECKS, tail)
+    run("trace", _TRACE_TAIL_CHECKS, (trace,))
     return walked

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bunred.cli import main
 
 
@@ -55,3 +57,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "= 1" in proc.stdout
+
+
+def test_solve_lemma_json_on_a_base_type(capsys):
+    # rank = hcf: no window solution, one JSON object naming the twist
+    assert main(["solve-lemma", "-g", "2", "-r", "3", "-d", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"base_case": True, "twist_degree": 0}
+    assert main(["solve-lemma", "-g", "3", "-r", "2", "-d", "-6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"base_case": True, "twist_degree": 3}
+
+
+@pytest.mark.parametrize("command", ["generic-hom", "scan-splittings"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_format_is_a_usage_error_where_there_is_no_json(command, fmt):
+    # these commands print text only, so they take no --format
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-g", "2", "--t1", "3,-2", "--t2", "2,1", "--format", fmt])
+    assert exc.value.code == 2

@@ -11,6 +11,7 @@ import pytest
 
 from bunred import (
     BaseStep,
+    CertificateInvalid,
     DegreeAffineMap,
     GenusContext,
     SheafType,
@@ -200,3 +201,31 @@ def test_det_maps_that_are_not_a_tuple_of_four_maps_differ(det_maps, root_detail
         expected.insert(0, ("root", "det_segments", root_detail))
     assert failures == expected
     assert not trace_ok(trace, {})
+
+
+# In-memory tamperings that put a value of the wrong kind where the tail
+# checks or a node's type domain read it, and the exact set of checks each
+# fails: these values are computed inside the runner.
+WRONG_KIND = [
+    (
+        _root(det_maps=(*ROOT.det_maps[:3], None)),
+        {"det_segments", "composite_det", "det_sends_to_zero"},
+    ),
+    (_root(mu1=None), {"child_types", "det_segments", "node_type_domain", "total_affine_dim"}),
+    (replace(TRACE, h="x"), {"input_hcf", "total_affine_dim"}),
+    (_root(rho_affine=None), {"rho_affine", "total_affine_dim"}),
+]
+
+
+@pytest.mark.parametrize(
+    "trace,failed", WRONG_KIND, ids=["det_maps_none", "mu1_none", "h_str", "rho_affine_none"]
+)
+def test_values_of_the_wrong_kind_fail_checks_and_never_raise(trace, failed):
+    report = verify_trace(trace, strict=False)
+    assert report.failed_names() == failed
+    with pytest.raises(CertificateInvalid):
+        verify_trace(trace)
+    assert not trace_ok(trace, {})
+    warmed = {}
+    assert trace_ok(TRACE, warmed)
+    assert not trace_ok(trace, warmed)
