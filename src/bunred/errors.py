@@ -34,7 +34,8 @@ class TheoremContradicted(BunredError):
 
 
 class InternalInvariantViolation(BunredError):
-    """A derived quantity failed a check that is guaranteed to hold."""
+    """A derived quantity failed a check that is guaranteed to hold.  Only the
+    oracle solve_lemma_bruteforce raises it, when its scan finds no unique hit."""
 
 
 class CertificateInvalid(BunredError):

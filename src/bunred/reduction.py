@@ -340,7 +340,11 @@ class VerificationReport:
 
 # Trace-level checks on (trace).
 _TRACE_DOMAIN_CHECKS = (
-    ("genus_domain", lambda tr: tr.genus >= 2, lambda tr: f"genus {tr.genus} < 2"),
+    (
+        "genus_domain",
+        lambda tr: tr.genus >= 2 and tr.genus.__class__ is int,
+        lambda tr: f"genus {tr.genus!r} " + ("< 2" if tr.genus < 2 else "is not an int"),
+    ),
     (
         "input_domain",
         lambda tr: tr.input.rank >= 1,
@@ -383,9 +387,23 @@ _TRACE_TAIL_CHECKS = (
     ),
 )
 
+
+def _node_domain_problem(n: StepNode) -> str:
+    """Why the verifier cannot check n (rank 0, no step node, or a rank or
+    degree that is not a plain int; a bool is not one), or "" if it can."""
+    t = n.t
+    if not t.rank >= 1:
+        return f"type {t} has rank 0"
+    if n.__class__ is not BaseStep and n.__class__ is not CompositeStep:
+        return f"node of type {t} is a {n.__class__.__name__}, not a step node"
+    if t.rank.__class__ is not int or t.degree.__class__ is not int:
+        return f"type {t} has a rank or degree that is not an int"
+    return ""
+
+
 # Checks on (node) of every node; the node's other checks need it to pass.
 _NODE_DOMAIN_CHECKS = (
-    ("node_type_domain", lambda n: n.t.rank >= 1, lambda n: f"type {n.t} has rank 0"),
+    ("node_type_domain", lambda n: not _node_domain_problem(n), _node_domain_problem),
 )
 
 # Checks on (node, r, d, h) of a base step, (r, d) its type and h = hcf(r, d).

@@ -109,3 +109,38 @@ def test_solver_equals_oracle_on_big_types():
         assert solve_lemma(ctx, t) == solve_lemma_bruteforce(ctx, t)
 
     check()
+
+
+def test_big_solutions_satisfy_the_lemma():
+    """The five facts of the window lemma, on ranks of 1-600 digits, where the
+    oracle cannot scan the window: solve_lemma re-checks none of them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # a rank of `digits` digits and a degree in (-rank, rank)
+    types = st.integers(1, 600).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1).flatmap(
+            lambda r: st.tuples(st.just(r), st.integers(1 - r, r - 1))
+        )
+    )
+    big_rank = 10**599 + 10**300 + 7
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(g=st.integers(2, 10**6), rd=types)
+    @hypothesis.example(g=10**299 + 3, rd=(big_rank, -(10**450) - 1))
+    def check(g, rd):
+        r, d = rd
+        h = math.gcd(r, d)
+        hypothesis.assume(h < r)
+        sol = solve_lemma(GenusContext(g), SheafType(r, d))
+        # the equation chi((rF, dF), (r, d)) = h, and the window
+        assert (1 - g) * sol.rF * r + sol.rF * d - r * sol.dF == h
+        assert r < h * sol.rF < 2 * r
+        # the reduced type
+        assert (sol.r1, sol.d1) == (h * sol.rF - r, h * sol.dF - d)
+        # h1 = hcf(r1, d1), a multiple of h
+        assert sol.h == h and sol.h1 == math.gcd(sol.r1, sol.d1) and sol.h1 % h == 0
+        # the measure: r1/h1 < r/h
+        assert sol.r1 * h < r * sol.h1
+
+    check()

@@ -5,6 +5,7 @@ the (path, name, detail) triple the verifier reports for the check it breaks.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -229,3 +230,63 @@ def test_values_of_the_wrong_kind_fail_checks_and_never_raise(trace, failed):
     warmed = {}
     assert trace_ok(TRACE, warmed)
     assert not trace_ok(trace, warmed)
+
+
+def _fails_everywhere(trace):
+    """The tampered trace fails in strict mode and in trace_ok, with a fresh
+    memo and with one warmed by the untampered trace."""
+    with pytest.raises(CertificateInvalid):
+        verify_trace(trace)
+    assert not trace_ok(trace, {})
+    warmed = {}
+    assert trace_ok(TRACE, warmed)
+    assert not trace_ok(trace, warmed)
+
+
+# In-memory tamperings that put at a node a type whose rank or degree is not
+# a plain int (a bool is not one), or an object with a type that is no step
+# node; the walk reads a node's type, solution and children only once
+# node_type_domain has passed.
+NOT_A_STEP_NODE = [
+    (
+        _root(mu1=replace(ROOT.mu1, t=SheafType(1, "x"))),
+        ("root.mu1", "type (1,x) has a rank or degree that is not an int"),
+    ),
+    (
+        _root(mu1=replace(ROOT.mu1, t=SheafType(2.5, 1))),
+        ("root.mu1", "type (2.5,1) has a rank or degree that is not an int"),
+    ),
+    (
+        _root(mu1=replace(ROOT.mu1, t=SheafType(True, -3))),
+        ("root.mu1", "type (True,-3) has a rank or degree that is not an int"),
+    ),
+    (
+        replace(TRACE, root=SimpleNamespace(t=SheafType(2, 1))),
+        ("root", "node of type (2,1) is a SimpleNamespace, not a step node"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "trace,expected", NOT_A_STEP_NODE, ids=["degree_str", "rank_float", "rank_bool", "namespace"]
+)
+def test_nodes_that_are_no_step_node_of_ints_fail_node_type_domain(trace, expected):
+    report = verify_trace(trace, strict=False)
+    domain = [(c.path, c.detail) for c in report.failures() if c.name == "node_type_domain"]
+    assert domain == [expected]
+    _fails_everywhere(trace)
+
+
+@pytest.mark.parametrize(
+    "genus,detail",
+    [(2.0, "genus 2.0 is not an int"), (Fraction(3), "genus Fraction(3, 1) is not an int")],
+    ids=["float", "fraction"],
+)
+def test_a_genus_that_is_not_an_int_fails_genus_domain(genus, detail):
+    # 2.0 == 2 and hashes alike, so a memo warmed at genus 2 would match the
+    # untampered nodes of a genus-2.0 trace; the domain check ends the pass first
+    report = verify_trace(replace(TRACE, genus=genus), strict=False)
+    assert [(c.path, c.name, c.detail) for c in report.failures()] == [
+        ("trace", "genus_domain", detail)
+    ]
+    _fails_everywhere(replace(TRACE, genus=genus))
