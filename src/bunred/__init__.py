@@ -4,7 +4,7 @@ reduction tree, an independent certificate verifier, and the minimal
 weight-1 rank, quasiparabolic dimensions and splitting scan that the
 reduction relies on."""
 
-from .affine import DegreeAffineMap, compose_det
+from .affine import DegreeAffineMap
 from .diophantine import LemmaSolution, solve_lemma, solve_lemma_bruteforce
 from .errors import (
     BaseCaseReached,
@@ -28,7 +28,7 @@ from .generic_hom import (
     generic_morphism_kind,
     no_bad_splitting_scan,
 )
-from .grassmann import HeckeRoute, hecke_det_shift, parabolic_dim
+from .grassmann import HeckeRoute, parabolic_dim
 from .reduction import (
     BaseStep,
     CheckResult,

@@ -1,4 +1,5 @@
-"""Invertible affine maps deg -> sign*deg + shift on determinant degrees."""
+"""Invertible affine maps deg -> sign*deg + shift on determinant degrees,
+and their left-to-right fold as an integer (sign, shift) pair."""
 
 from __future__ import annotations
 
@@ -31,13 +32,9 @@ class DegreeAffineMap:
         return s
 
 
-def compose_det(maps: Iterable[DegreeAffineMap]) -> DegreeAffineMap:
-    """Left-to-right composition; the first map in the sequence acts first."""
-    return DegreeAffineMap(*_fold_det(maps))
-
-
 def _fold_det(maps: Iterable[DegreeAffineMap]) -> tuple[int, int]:
-    """compose_det's (sign, shift), folded as plain integers with no map built.
+    """(sign, shift) of the left-to-right composition of maps, the first map
+    acting first, folded as plain integers with no map built.
 
     (s1,c1) followed by (s2,c2) is (s2*s1, s2*c1 + c2).
     """

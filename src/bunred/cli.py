@@ -1,8 +1,9 @@
 """Command-line front end: reduce, sweep, verify, chi, solve-lemma,
 generic-hom, scan-splittings.
 
-Exit codes: 0 success and (where applicable) valid certificate, 1 domain
-error or invalid certificate, 2 usage error.
+Each command returns its output text and its verdict; main writes the text
+to --out or stdout.  Exit codes: 0 success and (where applicable) valid
+certificate, 1 domain error or invalid certificate, 2 usage error.
 """
 
 from __future__ import annotations
@@ -95,29 +96,18 @@ def format_trace_text(trace: ReductionTrace, report: VerificationReport | None) 
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> tuple[str, bool]:
     ctx = GenusContext(args.genus)
     trace = reduce(ctx, SheafType(args.rank, args.degree))
     if args.format == "json":
         # the document records only the verdict, so no report is built
         ok = trace_ok(trace, {})
-        _emit(dumps(trace, valid=ok), args.out)
-    else:
-        report = verify_trace(trace, strict=False)
-        ok = report.ok
-        _emit(format_trace_text(trace, report), args.out)
-    return 0 if ok else 1
+        return dumps(trace, valid=ok), ok
+    report = verify_trace(trace, strict=False)
+    return format_trace_text(trace, report), report.ok
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, bool]:
     # empty ranges are allowed and sweep vacuously (exit 0, empty table)
     if any(g < 2 for g in args.genus):
         raise BunredError("sweep genus values must be >= 2")
@@ -145,16 +135,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if args.traces_dir is not None:
                     dump(trace, os.path.join(args.traces_dir, f"trace_g{g}_r{r}_d{d}.json"))
     if args.format == "json":
-        _emit(_sweep_json(rows, all_valid), args.out)
-    else:
-        lines = [f"{'g':>3} {'r':>4} {'d':>5} {'h':>4} {'n':>6} {'depth':>6} valid"]
-        for g, r, d, h, n, depth, valid in rows:
-            lines.append(
-                f"{g:>3} {r:>4} {d:>5} {h:>4} {n:>6} {depth:>6} {'yes' if valid else 'NO'}"
-            )
-        lines.append(f"{len(rows)} cases, {sum(1 for row in rows if row[-1])} valid")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_valid else 1
+        return _sweep_json(rows, all_valid), all_valid
+    lines = [f"{'g':>3} {'r':>4} {'d':>5} {'h':>4} {'n':>6} {'depth':>6} valid"]
+    for g, r, d, h, n, depth, valid in rows:
+        lines.append(
+            f"{g:>3} {r:>4} {d:>5} {h:>4} {n:>6} {depth:>6} {'yes' if valid else 'NO'}"
+        )
+    lines.append(f"{len(rows)} cases, {sum(1 for row in rows if row[-1])} valid")
+    return "\n".join(lines) + "\n", all_valid
 
 
 def _sweep_json(rows: list[tuple], all_valid: bool) -> str:
@@ -174,7 +162,7 @@ def _sweep_json(rows: list[tuple], all_valid: bool) -> str:
     return f'{{\n  "rows": {table},\n  "cases": {len(rows)},\n  "all_valid": {verdict}\n}}\n'
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     trace = load(args.file)
     report = verify_trace(trace, strict=False)
     if args.format == "json":
@@ -185,32 +173,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for c in report.checks
             ],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = []
-        for c in report.checks:
-            lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.path}: {c.name}"
-                         + (f" ({c.detail})" if c.detail and not c.passed else ""))
-        lines.append(
-            f"certificate {'VALID' if report.ok else 'INVALID'} ({len(report.checks)} checks)"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 1
+        return json.dumps(doc, indent=2) + "\n", report.ok
+    lines = []
+    for c in report.checks:
+        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.path}: {c.name}"
+                     + (f" ({c.detail})" if c.detail and not c.passed else ""))
+    lines.append(
+        f"certificate {'VALID' if report.ok else 'INVALID'} ({len(report.checks)} checks)"
+    )
+    return "\n".join(lines) + "\n", report.ok
 
 
-def _cmd_chi(args: argparse.Namespace) -> int:
+def _cmd_chi(args: argparse.Namespace) -> tuple[str, bool]:
     ctx = GenusContext(args.genus)
     t1, t2 = SheafType(*args.t1), SheafType(*args.t2)
     value = euler_form(ctx, t1, t2)
     if args.format == "json":
-        _emit(json.dumps({"genus": args.genus, "t1": str(t1), "t2": str(t2), "chi": value}) + "\n",
-              args.out)
-    else:
-        _emit(f"chi({t1}, {t2}; g={args.genus}) = {value}\n", args.out)
-    return 0
+        doc = {"genus": args.genus, "t1": str(t1), "t2": str(t2), "chi": value}
+        return json.dumps(doc) + "\n", True
+    return f"chi({t1}, {t2}; g={args.genus}) = {value}\n", True
 
 
-def _cmd_solve_lemma(args: argparse.Namespace) -> int:
+def _cmd_solve_lemma(args: argparse.Namespace) -> tuple[str, bool]:
     ctx = GenusContext(args.genus)
     t = SheafType(args.rank, args.degree)
     try:
@@ -218,48 +202,34 @@ def _cmd_solve_lemma(args: argparse.Namespace) -> int:
     except BaseCaseReached:
         if args.format == "json":
             doc = {"base_case": True, "twist_degree": -(t.degree // t.rank)}
-            _emit(json.dumps(doc) + "\n", args.out)
-        else:
-            _emit(f"Bun{t}: base case (rank = hcf); reduction is a twist\n", args.out)
-        return 0
+            return json.dumps(doc) + "\n", True
+        return f"Bun{t}: base case (rank = hcf); reduction is a twist\n", True
     if args.format == "json":
         doc = {"rF": sol.rF, "dF": sol.dF, "r1": sol.r1, "d1": sol.d1, "h": sol.h, "h1": sol.h1}
-        _emit(json.dumps(doc) + "\n", args.out)
-    else:
-        _emit(
-            f"Bun{t}: rF={sol.rF} dF={sol.dF} r1={sol.r1} d1={sol.d1} h={sol.h} h1={sol.h1}\n",
-            args.out,
-        )
-    return 0
+        return json.dumps(doc) + "\n", True
+    return f"Bun{t}: rF={sol.rF} dF={sol.dF} r1={sol.r1} d1={sol.d1} h={sol.h} h1={sol.h1}\n", True
 
 
-def _cmd_generic_hom(args: argparse.Namespace) -> int:
+def _cmd_generic_hom(args: argparse.Namespace) -> tuple[str, bool]:
     ctx = GenusContext(args.genus)
     t1, t2 = SheafType(*args.t1), SheafType(*args.t2)
     rep = generic_hom(ctx, t1, t2)
     if not rep.covered:
-        _emit(f"hom({t1}, {t2}; g={args.genus}): not covered (chi < 0)\n", args.out)
-        return 0
+        return f"hom({t1}, {t2}; g={args.genus}): not covered (chi < 0)\n", True
     kind = ""
     if rep.hom_dim >= 1:
         kind = f" ; generic morphism: {generic_morphism_kind(ctx, t1, t2).value}"
-    _emit(
-        f"hom({t1}, {t2}; g={args.genus}) = {rep.hom_dim}, ext = {rep.ext_dim}{kind}\n",
-        args.out,
-    )
-    return 0
+    return f"hom({t1}, {t2}; g={args.genus}) = {rep.hom_dim}, ext = {rep.ext_dim}{kind}\n", True
 
 
-def _cmd_scan_splittings(args: argparse.Namespace) -> int:
+def _cmd_scan_splittings(args: argparse.Namespace) -> tuple[str, bool]:
     ctx = GenusContext(args.genus)
     t1, t2 = SheafType(*args.t1), SheafType(*args.t2)
     rep = no_bad_splitting_scan(ctx, t1, t2, args.bound)
-    _emit(
+    return (
         f"scan({t1}, {t2}; g={args.genus}, bound={args.bound}): "
-        f"{rep.examined} splittings examined, {rep.violations} violations\n",
-        args.out,
-    )
-    return 0
+        f"{rep.examined} splittings examined, {rep.violations} violations\n"
+    ), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_type:
             p.add_argument("--t1", type=_parse_pair, required=True, metavar="r,d")
             p.add_argument("--t2", type=_parse_pair, required=True, metavar="r,d")
-        p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("reduce", help="build and verify one reduction certificate")
     add_common(p, with_rd=True)
@@ -290,12 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-range", type=_parse_range, required=True, metavar="a..b")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--traces-dir", metavar="DIR")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="verify a serialized trace document")
     p.add_argument("file")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chi", help="evaluate the Euler form chi(t1, t2)")
@@ -312,19 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-splittings", help="exhaustive bad-splitting scan for a pair")
     add_common(p, with_type=True)
-    p.add_argument("--bound", type=int, default=20)
     p.set_defaults(func=_cmd_scan_splittings)
 
-    # generic-hom and scan-splittings print text only
-    for name in ("reduce", "sweep", "verify", "chi", "solve-lemma"):
-        sub.choices[name].add_argument("--format", choices=("text", "json"), default="text")
+    # every command writes to --out or stdout; generic-hom and
+    # scan-splittings print text only
+    for name, p in sub.choices.items():
+        p.add_argument("--out", metavar="FILE")
+        if name not in ("generic-hom", "scan-splittings"):
+            p.add_argument("--format", choices=("text", "json"), default="text")
+    # after --out, where the usage has always listed it
+    sub.choices["scan-splittings"].add_argument("--bound", type=int, default=20)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, ok = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if ok else 1
     except (BunredError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

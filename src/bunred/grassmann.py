@@ -1,16 +1,15 @@
-"""Dimension and determinant bookkeeping for Grassmannian bundles over stacks.
+"""Dimension bookkeeping for Grassmannian bundles over stacks.
 
 Covers the two Grassmannian-bundle descriptions of the quasiparabolic stack
-(the Hecke correspondence) and the determinant-degree shift it induces.  The
-verifier in `reduction` checks the numerical preconditions of the two
-birational-linearity criteria itself.
+(the Hecke correspondence).  The determinant-degree shift of a Hecke step,
+and the numerical preconditions of the two birational-linearity criteria,
+are recorded and checked in `reduction`.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .affine import DegreeAffineMap
 from .errors import InvalidArgument
 from .euler import bun_stack_dim
 from .types import GenusContext, SheafType, require_genus_ge_2
@@ -37,12 +36,4 @@ def parabolic_dim(
     if route is HeckeRoute.HECKE1:
         return bun_stack_dim(ctx, SheafType(r, d)) + fiber
     return bun_stack_dim(ctx, SheafType(r, d - m)) + fiber
-
-
-def hecke_det_shift(m: int) -> DegreeAffineMap:
-    """Determinant-degree shift deg -> deg - m from the degree-d side of the
-    Hecke correspondence to the degree-(d-m) side."""
-    if m < 1:
-        raise InvalidArgument(f"multiplicity must be >= 1, got {m}")
-    return DegreeAffineMap(1, -m)
 

@@ -65,11 +65,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .affine import DegreeAffineMap, _fold_det, compose_det
+from .affine import DegreeAffineMap, _fold_det
 from .diophantine import LemmaSolution, solve_lemma
 from .errors import CertificateInvalid, DomainError, InvalidType
 from .euler import euler_form
-from .grassmann import hecke_det_shift
 from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
 
 
@@ -139,14 +138,11 @@ class ReductionTrace:
 
 def node_composite_det(node: StepNode) -> DegreeAffineMap:
     """Determinant-degree map of the whole subtree, first segment acting first."""
-    if isinstance(node, BaseStep):
-        return DegreeAffineMap(1, node.t.rank * node.twist_degree)
-    return compose_det(node.det_maps)
+    return DegreeAffineMap(*_node_det_pair(node))
 
 
 def _node_det_pair(node: StepNode) -> tuple[int, int]:
-    """node_composite_det(node) as its (sign, shift) pair, with no map built:
-    the same fold, which compose_det wraps."""
+    """node_composite_det(node) as its (sign, shift) pair, with no map built."""
     if isinstance(node, BaseStep):
         return 1, node.t.rank * node.twist_degree
     return _fold_det(node.det_maps)
@@ -282,7 +278,7 @@ def _build_tree(
             det_maps=(
                 DegreeAffineMap(-1, h * sol.dF),
                 node_composite_det(mu1),
-                hecke_det_shift(h),
+                DegreeAffineMap(1, -h),
                 node_composite_det(mu2),
             ),
         )

@@ -326,7 +326,9 @@ def dump(trace: ReductionTrace, path: str) -> None:
 
 
 def load(path: str) -> ReductionTrace:
-    with open(path, encoding="utf-8") as f:
+    # newline="" keeps the file's line ends, so a ParseError offset points
+    # into the file, as it does when loads reads the same bytes
+    with open(path, encoding="utf-8", newline="") as f:
         try:
             text = f.read()
         except UnicodeDecodeError as exc:

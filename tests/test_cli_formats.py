@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bunred import GenusContext, SheafType, dumps, reduce
 from bunred.cli import main
 
 
@@ -74,3 +75,43 @@ def test_format_is_a_usage_error_where_there_is_no_json(command, fmt):
     with pytest.raises(SystemExit) as exc:
         main([command, "-g", "2", "--t1", "3,-2", "--t2", "2,1", "--format", fmt])
     assert exc.value.code == 2
+
+
+# {good} and {bad} stand for a valid and a tampered trace document
+OUT_CASES = {
+    "reduce": ["reduce", "-g", "2", "-r", "12", "-d", "7"],
+    "sweep": ["sweep", "-g", "2..3", "--max-rank", "4", "--degree-range=-3..3"],
+    "verify": ["verify", "{good}"],
+    "verify_tampered": ["verify", "{bad}"],
+    "chi": ["chi", "-g", "2", "--t1", "2,1", "--t2", "3,-1"],
+    "solve_lemma": ["solve-lemma", "-g", "2", "-r", "4", "-d", "2"],
+    "solve_lemma_base": ["solve-lemma", "-g", "2", "-r", "3", "-d", "0"],
+}
+
+
+def _out_cases():
+    for name, argv in OUT_CASES.items():
+        for fmt in ("text", "json"):
+            yield pytest.param(argv + ["--format", fmt], id=f"{name}-{fmt}")
+    yield pytest.param(["generic-hom", "-g", "2", "--t1", "1,0", "--t2", "1,3"], id="generic_hom")
+    yield pytest.param(["scan-splittings", "-g", "2", "--t1", "2,1", "--t2", "1,5", "--bound", "5"],
+                       id="scan_splittings")
+
+
+@pytest.mark.parametrize("argv", _out_cases())
+def test_out_file_gets_the_bytes_stdout_would(argv, tmp_path, capsys):
+    text = dumps(reduce(GenusContext(2), SheafType(3, 1)))
+    (tmp_path / "good.json").write_text(text, encoding="utf-8")
+    doc = json.loads(text)
+    doc["root"]["rkV"] += 1
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [a.format(good=tmp_path / "good.json", bad=tmp_path / "bad.json") for a in argv]
+
+    code = main(argv)
+    stdout, stderr = capsys.readouterr()
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr() == ("", stderr)
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert stdout
+    assert code == (1 if "bad.json" in argv[1] else 0)  # only the tampered document fails

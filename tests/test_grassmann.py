@@ -7,7 +7,6 @@ from bunred import (
     InvalidArgument,
     SheafType,
     bun_stack_dim,
-    hecke_det_shift,
     parabolic_dim,
 )
 
@@ -41,9 +40,3 @@ def test_hecke_routes_agree_on_grid():
                     d2 = parabolic_dim(ctx, r, d, m, HeckeRoute.HECKE2)
                     assert d1 == d2 == bun_stack_dim(ctx, SheafType(r, d)) + m * (r - m)
 
-
-def test_hecke_det_shift_examples():
-    assert hecke_det_shift(1).apply(0) == -1
-    assert hecke_det_shift(2).apply(5) == 3
-    with pytest.raises(InvalidArgument):
-        hecke_det_shift(0)

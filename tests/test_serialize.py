@@ -216,3 +216,24 @@ def test_utf8_bytes_round_trip():
     trace = reduce(GenusContext(3), SheafType(6, 4))
     assert loads(dumps(trace).encode("utf-8")) == trace
     assert loads(bytearray(dumps(trace).encode("utf-8"))) == trace
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "syntax_error"])
+def test_file_and_bytes_read_line_ends_alike(tmp_path, newline, broken):
+    trace = reduce(GenusContext(2), SheafType(3, 1))
+    raw = dumps(trace).replace("\n", newline).encode("utf-8")
+    if broken:
+        raw = raw[:512] + b"x" + raw[512:]
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    if not broken:
+        assert load(str(path)) == loads(raw) == trace
+        return
+    with pytest.raises(ParseError) as from_file:
+        load(str(path))
+    with pytest.raises(ParseError) as from_bytes:
+        loads(raw)
+    assert str(from_file.value) == str(from_bytes.value)
+    # the offset points at the stray byte in the file
+    assert str(from_file.value).startswith("$ (offset 512):")

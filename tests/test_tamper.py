@@ -25,13 +25,13 @@ from bunred import (
     GenusContext,
     ParseError,
     SheafType,
-    compose_det,
     reduce,
     trace_from_dict,
     trace_ok,
     trace_to_dict,
     verify_trace,
 )
+from bunred.affine import _fold_det
 
 
 def _int_paths(doc, prefix=()):
@@ -189,7 +189,7 @@ def test_memo_is_kept_per_genus():
     mixed = replace(
         trace,
         root=replace(root, mu1=mu1.root, mu2=mu2.root, det_maps=maps),
-        composite_det=compose_det(maps),
+        composite_det=DegreeAffineMap(*_fold_det(maps)),
     )
     report = verify_trace(mixed, strict=False)
     assert report.failed_names() == {"euler_equation", "hom_bundle_rank", "dimension_identity"}
