@@ -29,10 +29,11 @@ returns what verify_trace(trace, strict=False).ok would, but stops at the
 first failure and makes no report.  Both make the same pass, _check_trace:
 one pre-order walk with an explicit stack (a node's own checks, then its mu1
 subtree, then its mu2 subtree), so its depth is not bounded by the recursion
-limit, over module-level tables of plain check functions.  They differ only
-in the runner that evaluates a table: verify_trace's records a row per check
-and formats a failure's detail only when the check fails; trace_ok's ends
-the pass at the first table that does not hold.
+limit, over module-level tables of (name, check) pairs.  A check is one
+function that returns "" when it holds and its failure detail otherwise, so
+it formats the detail only when it fails.  Both runners call each check
+once: verify_trace's records a row per check, and trace_ok's ends the pass
+at the first check that does not hold.
 
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
@@ -330,57 +331,62 @@ class VerificationReport:
         return {c.name for c in self.checks if not c.passed}
 
 
-# The named checks, in report order, as (name, holds, explain).  Both
-# functions take the same arguments; explain formats the failure note and
-# runs only when holds is false.
+# The named checks, in report order, as (name, check).  A check returns ""
+# when it holds and its failure detail otherwise, formatted only then.
 
 # Trace-level checks on (trace).
 _TRACE_DOMAIN_CHECKS = (
     (
         "genus_domain",
-        lambda tr: tr.genus >= 2 and tr.genus.__class__ is int,
-        lambda tr: f"genus {tr.genus!r} " + ("< 2" if tr.genus < 2 else "is not an int"),
+        lambda tr: ""
+        if tr.genus >= 2 and tr.genus.__class__ is int
+        else f"genus {tr.genus!r} " + ("< 2" if tr.genus < 2 else "is not an int"),
     ),
-    (
-        "input_domain",
-        lambda tr: tr.input.rank >= 1,
-        lambda tr: f"input {tr.input} has rank 0",
-    ),
+    ("input_domain", lambda tr: "" if tr.input.rank >= 1 else f"input {tr.input} has rank 0"),
 )
 _TRACE_HEAD_CHECKS = (
     (
         "input_hcf",
-        lambda tr: tr.h == hcf_of_type(tr.input),
-        lambda tr: f"stored h={tr.h}, recomputed {math.gcd(tr.input.rank, tr.input.degree)}",
+        lambda tr: ""
+        if tr.h == hcf_of_type(tr.input)
+        else f"stored h={tr.h}, recomputed {math.gcd(tr.input.rank, tr.input.degree)}",
     ),
     (
         "root_type",
-        lambda tr: tr.root.t == tr.input,
-        lambda tr: f"root type {tr.root.t} != input {tr.input}",
+        lambda tr: "" if tr.root.t == tr.input else f"root type {tr.root.t} != input {tr.input}",
     ),
 )
+
+
+def _total_affine_dim(tr: ReductionTrace) -> str:
+    node_sum = node_affine_total(tr.root)
+    closed = (tr.genus - 1) * (tr.input.rank**2 - tr.h**2)
+    if tr.total_affine_dim == node_sum == closed:
+        return ""
+    return f"stored {tr.total_affine_dim}, node sum {node_sum}, (g-1)(r^2-h^2) = {closed}"
+
+
+def _composite_det(tr: ReductionTrace) -> str:
+    recomputed = node_composite_det(tr.root)
+    if tr.composite_det == recomputed:
+        return ""
+    return f"stored {tr.composite_det}, recomputed {recomputed}"
+
+
+def _det_sends_to_zero(tr: ReductionTrace) -> str:
+    """The root's composite must send the input degree to 0; it is folded
+    as an integer (sign, shift) pair with no map built."""
+    sign, shift = _node_det_pair(tr.root)
+    image = sign * tr.input.degree + shift
+    return "" if image == 0 else f"composite sends {tr.input.degree} to {image}"
+
 
 # Trace-level checks on (trace) that end the pass; each derives its values
 # from the tree itself, so a tree they cannot be derived from fails it.
 _TRACE_TAIL_CHECKS = (
-    (
-        "total_affine_dim",
-        lambda tr: tr.total_affine_dim
-        == node_affine_total(tr.root)
-        == (tr.genus - 1) * (tr.input.rank**2 - tr.h**2),
-        lambda tr: f"stored {tr.total_affine_dim}, node sum {node_affine_total(tr.root)}, "
-        f"(g-1)(r^2-h^2) = {(tr.genus - 1) * (tr.input.rank**2 - tr.h**2)}",
-    ),
-    (
-        "composite_det",
-        lambda tr: tr.composite_det == node_composite_det(tr.root),
-        lambda tr: f"stored {tr.composite_det}, recomputed {node_composite_det(tr.root)}",
-    ),
-    (
-        "det_sends_to_zero",
-        lambda tr: _det_image(tr) == 0,
-        lambda tr: f"composite sends {tr.input.degree} to {_det_image(tr)}",
-    ),
+    ("total_affine_dim", _total_affine_dim),
+    ("composite_det", _composite_det),
+    ("det_sends_to_zero", _det_sends_to_zero),
 )
 
 
@@ -398,111 +404,22 @@ def _node_domain_problem(n: StepNode) -> str:
 
 
 # Checks on (node) of every node; the node's other checks need it to pass.
-_NODE_DOMAIN_CHECKS = (
-    ("node_type_domain", lambda n: not _node_domain_problem(n), _node_domain_problem),
-)
+_NODE_DOMAIN_CHECKS = (("node_type_domain", _node_domain_problem),)
 
 # Checks on (node, r, d, h) of a base step, (r, d) its type and h = hcf(r, d).
 _BASE_CHECKS = (
-    ("base_rank", lambda n, r, d, h: r == h, lambda n, r, d, h: f"rank {r} != hcf {h}"),
+    ("base_rank", lambda n, r, d, h: "" if r == h else f"rank {r} != hcf {h}"),
     (
         "base_twist",
-        lambda n, r, d, h: d % r == 0 and n.twist_degree == -(d // r),
-        lambda n, r, d, h: f"twist {n.twist_degree} does not send degree {d} to 0",
-    ),
-)
-
-# Checks on (ctx, node, sol, r, d, h) of a composite step, sol its window
-# solution, (r, d) its type and h = hcf(r, d).
-_COMPOSITE_CHECKS = (
-    (
-        "euler_equation",
-        lambda ctx, n, s, r, d, h: (1 - ctx.genus) * s.rF * r + s.rF * d - r * s.dF == h,
-        lambda ctx, n, s, r, d, h: f"(1-g)*{s.rF}*{r} + {s.rF}*{d} - {r}*{s.dF} != {h}",
-    ),
-    (
-        "rank_window",
-        lambda ctx, n, s, r, d, h: r < h * s.rF < 2 * r,
-        lambda ctx, n, s, r, d, h: f"h*rF = {h * s.rF} outside ({r}, {2 * r})",
-    ),
-    (
-        "reduced_type",
-        lambda ctx, n, s, r, d, h: s.r1 == h * s.rF - r and s.d1 == h * s.dF - d,
-        lambda ctx, n, s, r, d, h: f"stored (r1,d1)=({s.r1},{s.d1}), "
-        f"expected ({h * s.rF - r},{h * s.dF - d})",
-    ),
-    (
-        "solution_hcf",
-        lambda ctx, n, s, r, d, h: s.h == h and s.h1 == math.gcd(s.r1, s.d1) and s.h1 % h == 0,
-        lambda ctx, n, s, r, d, h: f"stored h={s.h}, h1={s.h1}; "
-        f"recomputed h={h}, h1={math.gcd(s.r1, s.d1)}",
-    ),
-    (
-        "measure_decrease",
-        lambda ctx, n, s, r, d, h: s.r1 * h < r * s.h1,
-        lambda ctx, n, s, r, d, h: f"r1/h1 = {s.r1}/{s.h1} not < r/h = {r}/{h}",
-    ),
-    (
-        "hom_bundle_rank",
-        lambda ctx, n, s, r, d, h: n.rkV
-        == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF)),
-        lambda ctx, n, s, r, d, h: f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))",
-    ),
-    # The graph map goes from Gr_h of V = Hom(universal fibre over (r1,d1), F)
-    # to Gr_h of the dual universal fibre W over (h1,0).  Both have weight -1
-    # (0 - 1 and -(1)), whatever the types, so of the criterion "equal weights
-    # and j <= rk W <= rk V" only the rank chain is left to check.
-    (
-        "graph_map_precondition",
-        lambda ctx, n, s, r, d, h: h <= s.h1 <= n.rkV,
-        lambda ctx, n, s, r, d, h: f"j={h}, rkW={s.h1}, rkV={n.rkV} "
-        "with weights -1/-1 fails j <= rkW <= rkV",
-    ),
-    # The paper's divisibility condition for the Hecke Grassmannian over
-    # (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
-    # restates the paper and can fail only as "not evaluable" (h1 <= 0, when
-    # (h1, -h) is not a sheaf type).
-    (
-        "hecke_divisibility",
-        lambda ctx, n, s, r, d, h: h % hcf_of_type(SheafType(s.h1, -h)) == 0,
-        lambda ctx, n, s, r, d, h: f"hcf({s.h1},{h}) does not divide {h}",
-    ),
-    (
-        "dimension_identity",
-        lambda ctx, n, s, r, d, h: (ctx.genus - 1) * r**2
-        == (ctx.genus - 1) * s.r1**2 + h * (n.rkV - h),
-        lambda ctx, n, s, r, d, h: f"(g-1)r^2 = {(ctx.genus - 1) * r**2} "
-        "!= (g-1)r1^2 + h(rkV-h)",
-    ),
-    (
-        "rho_affine",
-        lambda ctx, n, s, r, d, h: n.rho_affine == h * (n.rkV - s.h1),
-        lambda ctx, n, s, r, d, h: f"stored {n.rho_affine}, expected {h}*({n.rkV}-{s.h1})",
-    ),
-    (
-        "hecke_affine",
-        lambda ctx, n, s, r, d, h: n.hecke_affine == h * (s.h1 - h),
-        lambda ctx, n, s, r, d, h: f"stored {n.hecke_affine}, expected {h}*({s.h1}-{h})",
-    ),
-    (
-        "child_types",
-        lambda ctx, n, s, r, d, h: n.mu1.t == SheafType(s.r1, s.d1)
-        and n.mu2.t == SheafType(s.h1, -h),
-        lambda ctx, n, s, r, d, h: f"children are {n.mu1.t}, {n.mu2.t}; "
-        f"expected ({s.r1},{s.d1}), ({s.h1},{-h})",
-    ),
-    # The four segments are compared as integer (sign, shift) pairs; see
-    # _det_segments_hold.
-    (
-        "det_segments",
-        lambda ctx, n, s, r, d, h: _det_segments_hold(n, s, h),
-        lambda ctx, n, s, r, d, h: "stored determinant segments differ from the re-derived ones",
+        lambda n, r, d, h: ""
+        if d % r == 0 and n.twist_degree == -(d // r)
+        else f"twist {n.twist_degree} does not send degree {d} to 0",
     ),
 )
 
 
-def _det_segments_hold(n: CompositeStep, s: LemmaSolution, h: int) -> bool:
-    """Whether n stores the segments [deg -> h*dF - deg, mu1's composite,
+def _det_segments(ctx, n, s, r, d, h) -> str:
+    """n must store the segments [deg -> h*dF - deg, mu1's composite,
     deg -> deg - h, mu2's composite], compared as integer (sign, shift) pairs
     with no map built.
 
@@ -513,39 +430,119 @@ def _det_segments_hold(n: CompositeStep, s: LemmaSolution, h: int) -> bool:
     """
     expected = ((-1, h * s.dF), _node_det_pair(n.mu1), (1, -h), _node_det_pair(n.mu2))
     maps = n.det_maps
-    if not isinstance(maps, tuple) or len(maps) != 4:
-        return False
-    a, b, c, e = maps
-    return a.__class__ is b.__class__ is c.__class__ is e.__class__ is DegreeAffineMap and (
-        (a.sign, a.shift), (b.sign, b.shift), (c.sign, c.shift), (e.sign, e.shift)
-    ) == expected
+    if isinstance(maps, tuple) and len(maps) == 4:
+        a, b, c, e = maps
+        if a.__class__ is b.__class__ is c.__class__ is e.__class__ is DegreeAffineMap and (
+            (a.sign, a.shift), (b.sign, b.shift), (c.sign, c.shift), (e.sign, e.shift)
+        ) == expected:
+            return ""
+    return "stored determinant segments differ from the re-derived ones"
 
 
-def _det_image(tr: ReductionTrace) -> int:
-    """Where the root's composite determinant map sends the input degree,
-    folded as an integer (sign, shift) pair with no map built."""
-    sign, shift = _node_det_pair(tr.root)
-    return sign * tr.input.degree + shift
+# Checks on (ctx, node, sol, r, d, h) of a composite step, sol its window
+# solution, (r, d) its type and h = hcf(r, d).
+_COMPOSITE_CHECKS = (
+    (
+        "euler_equation",
+        lambda ctx, n, s, r, d, h: ""
+        if (1 - ctx.genus) * s.rF * r + s.rF * d - r * s.dF == h
+        else f"(1-g)*{s.rF}*{r} + {s.rF}*{d} - {r}*{s.dF} != {h}",
+    ),
+    (
+        "rank_window",
+        lambda ctx, n, s, r, d, h: ""
+        if r < h * s.rF < 2 * r
+        else f"h*rF = {h * s.rF} outside ({r}, {2 * r})",
+    ),
+    (
+        "reduced_type",
+        lambda ctx, n, s, r, d, h: ""
+        if s.r1 == h * s.rF - r and s.d1 == h * s.dF - d
+        else f"stored (r1,d1)=({s.r1},{s.d1}), expected ({h * s.rF - r},{h * s.dF - d})",
+    ),
+    (
+        "solution_hcf",
+        lambda ctx, n, s, r, d, h: ""
+        if s.h == h and s.h1 == math.gcd(s.r1, s.d1) and s.h1 % h == 0
+        else f"stored h={s.h}, h1={s.h1}; recomputed h={h}, h1={math.gcd(s.r1, s.d1)}",
+    ),
+    (
+        "measure_decrease",
+        lambda ctx, n, s, r, d, h: ""
+        if s.r1 * h < r * s.h1
+        else f"r1/h1 = {s.r1}/{s.h1} not < r/h = {r}/{h}",
+    ),
+    (
+        "hom_bundle_rank",
+        lambda ctx, n, s, r, d, h: ""
+        if n.rkV == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF))
+        else f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))",
+    ),
+    # The graph map goes from Gr_h of V = Hom(universal fibre over (r1,d1), F)
+    # to Gr_h of the dual universal fibre W over (h1,0).  Both have weight -1
+    # (0 - 1 and -(1)), whatever the types, so of the criterion "equal weights
+    # and j <= rk W <= rk V" only the rank chain is left to check.
+    (
+        "graph_map_precondition",
+        lambda ctx, n, s, r, d, h: ""
+        if h <= s.h1 <= n.rkV
+        else f"j={h}, rkW={s.h1}, rkV={n.rkV} with weights -1/-1 fails j <= rkW <= rkV",
+    ),
+    # The paper's divisibility condition for the Hecke Grassmannian over
+    # (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
+    # restates the paper and can fail only as "not evaluable" (h1 <= 0, when
+    # (h1, -h) is not a sheaf type).
+    (
+        "hecke_divisibility",
+        lambda ctx, n, s, r, d, h: ""
+        if h % hcf_of_type(SheafType(s.h1, -h)) == 0
+        else f"hcf({s.h1},{h}) does not divide {h}",
+    ),
+    (
+        "dimension_identity",
+        lambda ctx, n, s, r, d, h: ""
+        if (ctx.genus - 1) * r**2 == (ctx.genus - 1) * s.r1**2 + h * (n.rkV - h)
+        else f"(g-1)r^2 = {(ctx.genus - 1) * r**2} != (g-1)r1^2 + h(rkV-h)",
+    ),
+    (
+        "rho_affine",
+        lambda ctx, n, s, r, d, h: ""
+        if n.rho_affine == h * (n.rkV - s.h1)
+        else f"stored {n.rho_affine}, expected {h}*({n.rkV}-{s.h1})",
+    ),
+    (
+        "hecke_affine",
+        lambda ctx, n, s, r, d, h: ""
+        if n.hecke_affine == h * (s.h1 - h)
+        else f"stored {n.hecke_affine}, expected {h}*({s.h1}-{h})",
+    ),
+    (
+        "child_types",
+        lambda ctx, n, s, r, d, h: ""
+        if n.mu1.t == SheafType(s.r1, s.d1) and n.mu2.t == SheafType(s.h1, -h)
+        else f"children are {n.mu1.t}, {n.mu2.t}; expected ({s.r1},{s.d1}), ({s.h1},{-h})",
+    ),
+    ("det_segments", _det_segments),
+)
 
 
 def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:
-    """verify_trace's runner: record one result per check of the table,
-    evaluated on args; return whether all of them passed.
+    """verify_trace's runner: call each (name, check) of the table once on
+    args, record its row, the detail it returned as the row's detail, and
+    return whether all of them passed.
 
     A check that cannot even be evaluated (garbage values in a tampered trace)
     counts as failed, never as an exception escaping the verifier.
     """
     all_passed = True
-    for name, holds, explain in checks:
+    for name, check in checks:
         try:
-            if holds(*args):
-                results.append(CheckResult(path, name, True))
-                continue
-            note = explain(*args)
+            note = check(*args)
         except Exception as exc:  # noqa: BLE001 - any blowup means "failed"
             note = f"not evaluable: {exc}"
-        results.append(CheckResult(path, name, False, note))
-        all_passed = False
+        results.append(CheckResult(path, name, not note, note))
+        if note:
+            all_passed = False
     return all_passed
 
 
@@ -571,16 +568,16 @@ class _CheckFailed(Exception):
 
 
 def _halt_on_failure(path: str, checks, args: tuple) -> bool:
-    """trace_ok's runner: True if every check of the table holds on args,
-    else raise _CheckFailed, so it never returns False.  A check that cannot
-    be evaluated counts as failed, as in _run."""
-    for _, holds, _ in checks:
+    """trace_ok's runner: call each (name, check) of the table once on args;
+    True if every check returned "", else raise _CheckFailed, so it never
+    returns False.  A check that cannot be evaluated fails, as in _run."""
+    for _, check in checks:
         try:
-            held = holds(*args)
+            if not check(*args):
+                continue
         except Exception:  # noqa: BLE001 - any blowup means "failed"
-            held = False
-        if not held:
-            raise _CheckFailed
+            pass
+        raise _CheckFailed
     return True
 
 
@@ -606,8 +603,8 @@ def _check_trace(
 ) -> dict[tuple[int, int], StepNode]:
     """The verifier's one pass; return the nodes it walked, by (genus, id).
 
-    run(path, checks, args) evaluates one check table and says whether all
-    of it held.  The trace's domain checks gate the rest; then come its head
+    run(path, checks, args) evaluates one table of (name, check) pairs and
+    says whether all of it held.  The trace's domain checks gate the rest; then come its head
     checks, every node in pre-order (its own checks, then its mu1 subtree,
     then its mu2 subtree; a node's type domain gates its other checks), and
     the tail checks.  A node whose key is in verified is skipped with its

@@ -14,8 +14,9 @@ Document schema (version 1):
 
 Composite nodes do not store their own (rank, degree); it is derived
 top-down (the root's type is the input, a mu1 child has type (r1, d1), a mu2
-child has type (h1, -hcf(parent))).  Parsing is purely syntactic: a document
-with tampered numbers parses fine and is rejected later by verify_trace.
+child has type (h1, -hcf(parent))).  Parsing checks the shape and that these
+types are sheaf types; a document with otherwise tampered numbers parses
+fine and is rejected later by verify_trace.
 
 dumps writes the document text straight from the tree, in one explicit-stack
 pass: each node becomes a few pieces in the schema's sorted key order, and
@@ -106,6 +107,15 @@ def _need_int(doc: Any, key: str, loc: str) -> int:
     return v
 
 
+def _sheaf_type(rank: int, degree: int, loc: str, lead: str = "") -> SheafType:
+    """SheafType(rank, degree), or a ParseError at loc: lead, then why.  The
+    caller reads the fields first, so their own errors are not wrapped."""
+    try:
+        return SheafType(rank, degree)
+    except BunredError as exc:
+        raise ParseError(loc, f"{lead}{exc}") from exc
+
+
 def _map_from_dict(doc: Any, loc: str) -> DegreeAffineMap:
     sign = _need_int(doc, "sign", loc)
     shift = _need_int(doc, "shift", loc)
@@ -122,13 +132,11 @@ def trace_from_dict(doc: Any) -> ReductionTrace:
         raise ParseError(f"{loc}.version", f"unsupported version {version}")
     genus = _need_int(doc, "genus", loc)
     input_doc = _need(doc, "input", loc)
-    try:
-        t = SheafType(
-            _need_int(input_doc, "rank", f"{loc}.input"),
-            _need_int(input_doc, "degree", f"{loc}.input"),
-        )
-    except BunredError as exc:
-        raise ParseError(f"{loc}.input", str(exc)) from exc
+    t = _sheaf_type(
+        _need_int(input_doc, "rank", f"{loc}.input"),
+        _need_int(input_doc, "degree", f"{loc}.input"),
+        f"{loc}.input",
+    )
     root = _node_from_dict(doc, "root", t, loc)
     return ReductionTrace(
         genus=genus,
@@ -167,10 +175,7 @@ def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
         loc = f"{loc}.{key}"
         kind = _need(doc, "kind", loc)
         if kind == "base":
-            try:
-                own = SheafType(_need_int(doc, "rank", loc), _need_int(doc, "degree", loc))
-            except BunredError as exc:
-                raise ParseError(loc, str(exc)) from exc
+            own = _sheaf_type(_need_int(doc, "rank", loc), _need_int(doc, "degree", loc), loc)
             made.append(BaseStep(t=own, twist_degree=_need_int(doc, "twist_degree", loc)))
             continue
         if kind != "composite":
@@ -190,11 +195,8 @@ def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
         det_maps = tuple(
             _map_from_dict(m, f"{loc}.det_maps[{i}]") for i, m in enumerate(maps_doc)
         )
-        try:
-            t1 = SheafType(sol.r1, sol.d1)
-            t2 = SheafType(sol.h1, -sol.h)
-        except BunredError as exc:
-            raise ParseError(loc, f"child types are not representable: {exc}") from exc
+        t1 = _sheaf_type(sol.r1, sol.d1, loc, "child types are not representable: ")
+        t2 = _sheaf_type(sol.h1, -sol.h, loc, "child types are not representable: ")
         todo.append(
             {
                 "t": t,

@@ -7,8 +7,11 @@ deleted, its value is set to a string, and its value is set to a list.  Each
 edited document is parsed with trace_from_dict, and the ordered list of
 outcomes (`str(exc)` of the ParseError, or "ok" when it parses) is hashed.
 
-The digest was recorded from the recursive parser, so any change to which
-error is reported first, or to its location or text, shows here.
+The digest was first recorded from the recursive parser, so any change to
+which error is reported first, or to its location or text, shows here.  It
+was recorded again once a field error of `input` or of a base node stopped
+being wrapped in a second ParseError at the same location: exactly 3,024
+outcomes changed, each only by losing its duplicated leading location.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import hashlib
 from bunred import GenusContext, ParseError, SheafType, reduce, trace_from_dict, trace_to_dict
 
 EDITS = 17100
-DIGEST = "9e094e7f824d4c7ef02c8889715d8524d2a503278a8a5acacbec649ef5027f44"
+DIGEST = "990ab3db0138bef2735e8f2e2b25300e6df4a39c79e4be125bd90610aaa890b4"
 
 _MISSING = object()
 

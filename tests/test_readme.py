@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
 
+from bunred import GenusContext, SheafType, reduce, trace_to_dict
 from bunred.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +37,9 @@ def test_library_example_prints_documented_values():
     assert affine == "12"
     assert det == "0"
     assert report.split()[0] == "True"
+
+
+def test_json_example_is_the_genus_2_rank_2_degree_1_document():
+    (example,) = _blocks("json")
+    expected = trace_to_dict(reduce(GenusContext(2), SheafType(2, 1)))
+    assert json.loads(example) == expected

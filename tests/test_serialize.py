@@ -237,3 +237,69 @@ def test_file_and_bytes_read_line_ends_alike(tmp_path, newline, broken):
     assert str(from_file.value) == str(from_bytes.value)
     # the offset points at the stray byte in the file
     assert str(from_file.value).startswith("$ (offset 512):")
+
+
+def _edited(path, value):
+    """The genus-2 (2,1) document with the field at path set to value, or
+    deleted when value is None."""
+    doc = trace_to_dict(reduce(GenusContext(2), SheafType(2, 1)))
+    cursor = doc
+    for key in path[:-1]:
+        cursor = cursor[key]
+    if value is None:
+        del cursor[path[-1]]
+    else:
+        cursor[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,value,location,message",
+    [
+        (("input", "rank"), "x", "$.input.rank", "expected an integer, got 'x'"),
+        (("input", "degree"), None, "$.input", "missing key 'degree'"),
+        (("root", "mu1", "rank"), "x", "$.root.mu1.rank", "expected an integer, got 'x'"),
+        (("root", "mu1", "rank"), None, "$.root.mu1", "missing key 'rank'"),
+        (
+            ("root", "det_maps", 0, "sign"),
+            "x",
+            "$.root.det_maps[0].sign",
+            "expected an integer, got 'x'",
+        ),
+    ],
+    ids=["input_str", "input_missing", "base_str", "base_missing", "det_map_str"],
+)
+def test_a_field_error_names_its_location_once(path, value, location, message):
+    # the det-map case is the control: its reads were never inside a guard
+    with pytest.raises(ParseError) as exc:
+        trace_from_dict(_edited(path, value))
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"
+
+
+@pytest.mark.parametrize(
+    "path,value,location,message",
+    [
+        (("input", "rank"), -1, "$.input", "rank must be >= 0, got -1"),
+        (("root", "mu1", "rank"), -1, "$.root.mu1", "rank must be >= 0, got -1"),
+        (
+            ("root", "r1"),
+            -1,
+            "$.root",
+            "child types are not representable: rank must be >= 0, got -1",
+        ),
+        (
+            ("root", "h1"),
+            0,
+            "$.root",
+            "child types are not representable: "
+            "rank-zero types are torsion and need degree >= 0, got degree -1",
+        ),
+    ],
+    ids=["input", "base", "composite_r1", "composite_h1"],
+)
+def test_a_type_that_is_no_sheaf_type_is_a_parse_error(path, value, location, message):
+    with pytest.raises(ParseError) as exc:
+        trace_from_dict(_edited(path, value))
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"
