@@ -33,7 +33,9 @@ limit, over module-level tables of (name, check) pairs.  A check is one
 function that returns "" when it holds and its failure detail otherwise, so
 it formats the detail only when it fails.  Both runners call each check
 once: verify_trace's records a row per check, and trace_ok's ends the pass
-at the first check that does not hold.
+at the first check that does not hold.  verify_trace reports every
+occurrence of a shared node with its dotted path; trace_ok checks each
+distinct node object once per call and builds no paths.
 
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
@@ -64,7 +66,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .affine import DegreeAffineMap, _fold_det
 from .diophantine import LemmaSolution, solve_lemma
@@ -124,7 +126,9 @@ class CompositeStep:
         return hash((self.t, self.sol))
 
 
-StepNode = Union[BaseStep, CompositeStep]
+# A PEP 604 union: typing caches Union[...] subscriptions, and that cache would pin
+# these classes, so an imported-again bunred could never free its old copy.
+StepNode = BaseStep | CompositeStep
 
 
 @dataclass(frozen=True)
@@ -591,7 +595,7 @@ def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -
     added to it only when the whole trace passes.
     """
     try:
-        walked = _check_trace(trace, _halt_on_failure, verified)
+        walked = _check_trace(trace, _halt_on_failure, verified, once=True)
     except _CheckFailed:
         return False
     verified.update(walked)
@@ -599,7 +603,11 @@ def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -
 
 
 def _check_trace(
-    trace: ReductionTrace, run, verified: dict[tuple[int, int], StepNode]
+    trace: ReductionTrace,
+    run,
+    verified: dict[tuple[int, int], StepNode],
+    *,
+    once: bool = False,
 ) -> dict[tuple[int, int], StepNode]:
     """The verifier's one pass; return the nodes it walked, by (genus, id).
 
@@ -609,8 +617,14 @@ def _check_trace(
     then its mu2 subtree; a node's type domain gates its other checks), and
     the tail checks.  A node whose key is in verified is skipped with its
     subtree.
+
+    once=True is for a run that ends the pass at the first failure and reads
+    no path (trace_ok's): a node already walked in this call is skipped too,
+    and every node gets the root's path.  The stack is LIFO, so a repeat is
+    popped only after its first occurrence's whole subtree has passed.
     """
     walked: dict[tuple[int, int], StepNode] = {}
+    to_mu1, to_mu2 = ("", "") if once else (".mu1", ".mu2")  # path + "" is path
     if not run("trace", _TRACE_DOMAIN_CHECKS, (trace,)):
         return walked
     run("trace", _TRACE_HEAD_CHECKS, (trace,))
@@ -620,7 +634,7 @@ def _check_trace(
     while stack:
         node, path = stack.pop()
         key = (g, id(node))
-        if key in verified:
+        if key in verified or (once and key in walked):
             continue
         walked[key] = node
         if not run(path, _NODE_DOMAIN_CHECKS, (node,)):
@@ -631,7 +645,7 @@ def _check_trace(
             run(path, _BASE_CHECKS, (node, r, d, h))
             continue
         run(path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
-        stack.append((node.mu2, path + ".mu2"))
-        stack.append((node.mu1, path + ".mu1"))
+        stack.append((node.mu2, path + to_mu2))
+        stack.append((node.mu1, path + to_mu1))
     run("trace", _TRACE_TAIL_CHECKS, (trace,))
     return walked
