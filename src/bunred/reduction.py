@@ -33,9 +33,7 @@ limit, over module-level tables of (name, check) pairs.  A check is one
 function that returns "" when it holds and its failure detail otherwise, so
 it formats the detail only when it fails.  Both runners call each check
 once: verify_trace's records a row per check, and trace_ok's ends the pass
-at the first check that does not hold.  verify_trace reports every
-occurrence of a shared node with its dotted path; trace_ok checks each
-distinct node object once per call and builds no paths.
+at the first check that does not hold.
 
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
@@ -595,7 +593,7 @@ def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -
     added to it only when the whole trace passes.
     """
     try:
-        walked = _check_trace(trace, _halt_on_failure, verified, once=True)
+        walked = _check_trace(trace, _halt_on_failure, verified)
     except _CheckFailed:
         return False
     verified.update(walked)
@@ -603,11 +601,7 @@ def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -
 
 
 def _check_trace(
-    trace: ReductionTrace,
-    run,
-    verified: dict[tuple[int, int], StepNode],
-    *,
-    once: bool = False,
+    trace: ReductionTrace, run, verified: dict[tuple[int, int], StepNode]
 ) -> dict[tuple[int, int], StepNode]:
     """The verifier's one pass; return the nodes it walked, by (genus, id).
 
@@ -617,14 +611,8 @@ def _check_trace(
     then its mu2 subtree; a node's type domain gates its other checks), and
     the tail checks.  A node whose key is in verified is skipped with its
     subtree.
-
-    once=True is for a run that ends the pass at the first failure and reads
-    no path (trace_ok's): a node already walked in this call is skipped too,
-    and every node gets the root's path.  The stack is LIFO, so a repeat is
-    popped only after its first occurrence's whole subtree has passed.
     """
     walked: dict[tuple[int, int], StepNode] = {}
-    to_mu1, to_mu2 = ("", "") if once else (".mu1", ".mu2")  # path + "" is path
     if not run("trace", _TRACE_DOMAIN_CHECKS, (trace,)):
         return walked
     run("trace", _TRACE_HEAD_CHECKS, (trace,))
@@ -634,7 +622,7 @@ def _check_trace(
     while stack:
         node, path = stack.pop()
         key = (g, id(node))
-        if key in verified or (once and key in walked):
+        if key in verified:
             continue
         walked[key] = node
         if not run(path, _NODE_DOMAIN_CHECKS, (node,)):
@@ -645,7 +633,7 @@ def _check_trace(
             run(path, _BASE_CHECKS, (node, r, d, h))
             continue
         run(path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
-        stack.append((node.mu2, path + to_mu2))
-        stack.append((node.mu1, path + to_mu1))
+        stack.append((node.mu2, path + ".mu2"))
+        stack.append((node.mu1, path + ".mu1"))
     run("trace", _TRACE_TAIL_CHECKS, (trace,))
     return walked
