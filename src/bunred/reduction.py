@@ -244,7 +244,7 @@ def _build_tree(
     """
     r, d = t.rank, t.degree
     if d % r == 0:
-        return BaseStep(t=t, twist_degree=-(d // r))
+        return _built_or_base(built, r, d)
     # (type, depth, None) enters a composite type at that depth;
     # (type, depth, sol) makes its node once both children are built.
     todo: list = [(t, 1, None)]

@@ -300,9 +300,9 @@ def dumps(trace: ReductionTrace, *, valid: bool | None = None) -> str:
 
 def loads(text: str | bytes) -> ReductionTrace:
     """The trace of a document; bytes are read as UTF-8, as load reads files."""
+    if isinstance(text, (bytes, bytearray)):
+        text = _utf8(text)
     try:
-        if isinstance(text, (bytes, bytearray)):
-            text = text.decode("utf-8")
         return trace_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"$ (offset {exc.pos})", exc.msg) from exc
@@ -311,14 +311,21 @@ def loads(text: str | bytes) -> ReductionTrace:
         # nesting level): a document from outside can be nested deeper than
         # any trace reduce builds (reduction.MAX_TREE_DEPTH)
         raise ParseError("$", "document nested too deeply") from None
-    except UnicodeDecodeError as exc:
-        # from decoding bytes; a subclass of ValueError, so caught first
-        raise _not_utf8(exc) from None
     except ValueError:
         # from json.loads (trace_from_dict raises only ParseError): an integer
         # longer than Python's int-to-str limit
         raise ParseError(
             "$", f"integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def _utf8(data: bytes | bytearray) -> str:
+    """The document's bytes read as UTF-8, or a ParseError at the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            "$", f"the text is not UTF-8 ({exc.reason} at byte {exc.start})"
         ) from None
 
 
@@ -328,15 +335,7 @@ def dump(trace: ReductionTrace, path: str) -> None:
 
 
 def load(path: str) -> ReductionTrace:
-    # newline="" keeps the file's line ends, so a ParseError offset points
-    # into the file, as it does when loads reads the same bytes
-    with open(path, encoding="utf-8", newline="") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc) from None
-    return loads(text)
-
-
-def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
-    return ParseError("$", f"the text is not UTF-8 ({exc.reason} at byte {exc.start})")
+    with open(path, "rb") as f:
+        data = f.read()
+    # decoded here, not in loads: bench/tracer.py's loads hook counts a str
+    return loads(_utf8(data))

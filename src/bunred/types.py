@@ -1,16 +1,8 @@
 """Exact integer domain types: sheaf types, genus context, basic arithmetic.
 
 All arithmetic in this package is on Python integers (arbitrary precision),
-so nothing overflows.  Two size ceilings remain.  `reduce` builds no tree
-deeper than `reduction.MAX_TREE_DEPTH` (940 levels), and the tree has about
-1.5 levels per decimal digit of the rank, so most ranks of more than about
-600 digits are refused with a DomainError that names the limit.  The bound is
-fixed: it does not move with `sys.setrecursionlimit`.  No walker of a tree in
-the package recurses (`reduce`, `verify_trace`, the serializer, the parser,
-the CLI's text writer and node equality all use explicit stacks); the bound
-is there so that `json.loads`, which recurses once per nesting level, can
-read back the document of every tree `reduce` returns at the default
-recursion limit.
+so nothing overflows.  Two size ceilings remain.  `reduce` refuses a tree
+deeper than `reduction.MAX_TREE_DEPTH`, where the reason is given.
 Python's int-to-str limit (`sys.get_int_max_str_digits`, 4,300 digits by
 default) makes `serialize.dumps` raise a DomainError on a longer integer, and
 `serialize.loads` reports one as a ParseError; the CLI reports either as an

@@ -221,6 +221,11 @@ def test_reduce_calls_share_nothing():
     assert a.root is not b.root
 
 
+def test_a_base_root_enters_the_table():
+    table = {}
+    assert reduce(GenusContext(2), SheafType(3, 0), built=table).root is table[3, 0]
+
+
 def _reduce_or_error(ctx, t, built):
     try:
         return dumps(reduce(ctx, t, built=built))
