@@ -44,14 +44,16 @@ and it holds only results of trace_ok itself, never a value reduce() stored.
 A node's checks read only the node, its subtree and the genus, and nodes are
 frozen, so a subtree that passed once passes again at the same genus.
 
-reduce() builds the tree with one explicit-stack loop, not by recursion, and
-solves and builds each distinct (rank, degree) once: every repeat of a type
-in the tree is the same frozen node.  The table of built types is fresh for
-each reduce() call unless the caller passes one as `built`; a table belongs
-to one genus, and a caller that reduces many types of one genus (the CLI's
-sweep) can share one, so a type solved for one case is reused by the next.
-A type enters the table only once both of its children are built, so an
-error partway through leaves only complete subtrees in it.  reduce() refuses
+reduce() builds the tree with one explicit-stack loop, not by recursion,
+which every type enters the same way (it is reused, a base step, or solved),
+and solves and builds each distinct (rank, degree) once: every repeat of a
+type in the tree is the same frozen node.  The table of built types is
+fresh for each reduce() call unless the caller passes one as `built`; a
+table belongs to one genus, and a caller that reduces many types of one
+genus (the CLI's sweep) can share one, so a type solved for one case is
+reused by the next.  A composite type enters the table only once both of
+its children are built, so an error partway through leaves only complete
+subtrees in it.  reduce() refuses
 a tree deeper than MAX_TREE_DEPTH with a DomainError, for a reused subtree
 too.  No walker of a tree in this package recurses (the serializer, the
 parser, the CLI's text writer and node equality all use explicit stacks);
@@ -230,71 +232,66 @@ def _build_tree(
 ) -> StepNode:
     """The reduction tree of t, each distinct type solved and built once.
 
-    One explicit-stack pass: a composite type is entered in the order the
-    recursive definition visits it (the node, then its mu1 subtree, then its
-    mu2 subtree), so solve_lemma is called in that order, once per distinct
-    type, and its node is made after both of its children.  Only composite
-    children are entered; a base child (r1 = h1, or h1 = h) is made when its
-    parent is.  built maps (rank, degree) to its node, so every later
-    occurrence of a type, in this tree or in a later one built with the same
-    table, is the same frozen node.  A node enters built only after both of
-    its children, so a DomainError partway through leaves only complete
-    subtrees in it.  Depth is checked against MAX_TREE_DEPTH on the way
-    down, and for a composite subtree already in built when it is reused.
+    One explicit-stack pass.  Every type (the root, and both children of
+    each composite) is entered the same way, as (rank, degree, depth), in
+    the order the recursive definition visits it: the node, then its mu1
+    subtree, then its mu2 subtree.  An entered type already in built is
+    reused; a base type (d % r == 0) is made at once; any other type is
+    solved, and its node is made after both of its children.  So solve_lemma
+    is called in that order, once per distinct composite type.  built maps
+    (rank, degree) to its node, so every later occurrence of a type, in this
+    tree or in a later one built with the same table, is the same frozen
+    node.  A composite enters built only after both of its children, so a
+    DomainError partway through leaves only complete subtrees in it.  Depth
+    is checked against MAX_TREE_DEPTH before a type is solved, and for a
+    composite subtree already in built when it is reused.
     """
-    r, d = t.rank, t.degree
-    if d % r == 0:
-        return _built_or_base(built, r, d)
-    # (type, depth, None) enters a composite type at that depth;
-    # (type, depth, sol) makes its node once both children are built.
-    todo: list = [(t, 1, None)]
+    # (rank, degree, depth) enters a type at that depth;
+    # (type, sol) makes its composite node once both children are built.
+    root = t.rank, t.degree
+    todo: list = [(*root, 1)]
     while todo:
-        t, depth, sol = todo.pop()
-        if sol is None:
-            node = built.get((t.rank, t.degree))
-            if node is not None:
-                if depth + node_depth(node) - 1 > MAX_TREE_DEPTH:
-                    raise _too_deep()
-                continue
-            if depth == MAX_TREE_DEPTH:
-                raise _too_deep()
-            sol = solve_lemma(ctx, t)
-            todo.append((t, depth, sol))
-            if sol.h1 != sol.h:
-                todo.append((SheafType(sol.h1, -sol.h), depth + 1, None))
-            if sol.r1 != sol.h1:
-                todo.append((SheafType(sol.r1, sol.d1), depth + 1, None))
+        item = todo.pop()
+        if len(item) == 2:
+            t, sol = item
+            h = sol.h
+            mu1 = built[sol.r1, sol.d1]
+            mu2 = built[sol.h1, -h]
+            # chi((r1, d1), (rF, dF)), as euler_form computes it
+            rk_v = (1 - ctx.genus) * sol.r1 * sol.rF + sol.r1 * sol.dF - sol.rF * sol.d1
+            built[t.rank, t.degree] = CompositeStep(
+                t=t,
+                sol=sol,
+                rkV=rk_v,
+                rho_affine=h * (rk_v - sol.h1),
+                hecke_affine=h * (sol.h1 - h),
+                mu1=mu1,
+                mu2=mu2,
+                det_maps=(
+                    DegreeAffineMap(-1, h * sol.dF),
+                    node_composite_det(mu1),
+                    DegreeAffineMap(1, -h),
+                    node_composite_det(mu2),
+                ),
+            )
             continue
-        h = sol.h
-        mu1 = _built_or_base(built, sol.r1, sol.d1)
-        mu2 = _built_or_base(built, sol.h1, -h)
-        # chi((r1, d1), (rF, dF)), as euler_form computes it
-        rk_v = (1 - ctx.genus) * sol.r1 * sol.rF + sol.r1 * sol.dF - sol.rF * sol.d1
-        built[t.rank, t.degree] = CompositeStep(
-            t=t,
-            sol=sol,
-            rkV=rk_v,
-            rho_affine=h * (rk_v - sol.h1),
-            hecke_affine=h * (sol.h1 - h),
-            mu1=mu1,
-            mu2=mu2,
-            det_maps=(
-                DegreeAffineMap(-1, h * sol.dF),
-                node_composite_det(mu1),
-                DegreeAffineMap(1, -h),
-                node_composite_det(mu2),
-            ),
-        )
-    return built[r, d]
-
-
-def _built_or_base(built: dict[tuple[int, int], StepNode], r: int, d: int) -> StepNode:
-    """The node of a child of type (r, d): composite children are built
-    before their parent, so a type not in built is a base step."""
-    node = built.get((r, d))
-    if node is None:
-        node = built[r, d] = BaseStep(t=SheafType(r, d), twist_degree=-(d // r))
-    return node
+        r, d, depth = item
+        node = built.get((r, d))
+        if node is not None:
+            if node.__class__ is CompositeStep and depth + node_depth(node) - 1 > MAX_TREE_DEPTH:
+                raise _too_deep()
+            continue
+        if d % r == 0:
+            built[r, d] = BaseStep(t=SheafType(r, d), twist_degree=-(d // r))
+            continue
+        if depth == MAX_TREE_DEPTH:
+            raise _too_deep()
+        t = SheafType(r, d)
+        sol = solve_lemma(ctx, t)
+        todo.append((t, sol))
+        todo.append((sol.h1, -sol.h, depth + 1))
+        todo.append((sol.r1, sol.d1, depth + 1))
+    return built[root]
 
 
 def _too_deep() -> DomainError:

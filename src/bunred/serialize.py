@@ -107,22 +107,20 @@ def _need_int(doc: Any, key: str, loc: str) -> int:
     return v
 
 
-def _sheaf_type(rank: int, degree: int, loc: str, lead: str = "") -> SheafType:
-    """SheafType(rank, degree), or a ParseError at loc: lead, then why.  The
-    caller reads the fields first, so their own errors are not wrapped."""
+def _construct(make, a: int, b: int, loc: str, lead: str = "") -> Any:
+    """make(a, b), for a constructor that checks its fields (SheafType,
+    DegreeAffineMap), or a ParseError at loc: lead, then why.  The caller
+    reads the fields first, so their own errors are not wrapped."""
     try:
-        return SheafType(rank, degree)
+        return make(a, b)
     except BunredError as exc:
         raise ParseError(loc, f"{lead}{exc}") from exc
 
 
 def _map_from_dict(doc: Any, loc: str) -> DegreeAffineMap:
-    sign = _need_int(doc, "sign", loc)
-    shift = _need_int(doc, "shift", loc)
-    try:
-        return DegreeAffineMap(sign, shift)
-    except BunredError as exc:
-        raise ParseError(loc, str(exc)) from exc
+    return _construct(
+        DegreeAffineMap, _need_int(doc, "sign", loc), _need_int(doc, "shift", loc), loc
+    )
 
 
 def trace_from_dict(doc: Any) -> ReductionTrace:
@@ -132,7 +130,8 @@ def trace_from_dict(doc: Any) -> ReductionTrace:
         raise ParseError(f"{loc}.version", f"unsupported version {version}")
     genus = _need_int(doc, "genus", loc)
     input_doc = _need(doc, "input", loc)
-    t = _sheaf_type(
+    t = _construct(
+        SheafType,
         _need_int(input_doc, "rank", f"{loc}.input"),
         _need_int(input_doc, "degree", f"{loc}.input"),
         f"{loc}.input",
@@ -175,7 +174,9 @@ def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
         loc = f"{loc}.{key}"
         kind = _need(doc, "kind", loc)
         if kind == "base":
-            own = _sheaf_type(_need_int(doc, "rank", loc), _need_int(doc, "degree", loc), loc)
+            own = _construct(
+                SheafType, _need_int(doc, "rank", loc), _need_int(doc, "degree", loc), loc
+            )
             made.append(BaseStep(t=own, twist_degree=_need_int(doc, "twist_degree", loc)))
             continue
         if kind != "composite":
@@ -195,8 +196,8 @@ def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
         det_maps = tuple(
             _map_from_dict(m, f"{loc}.det_maps[{i}]") for i, m in enumerate(maps_doc)
         )
-        t1 = _sheaf_type(sol.r1, sol.d1, loc, "child types are not representable: ")
-        t2 = _sheaf_type(sol.h1, -sol.h, loc, "child types are not representable: ")
+        t1 = _construct(SheafType, sol.r1, sol.d1, loc, "child types are not representable: ")
+        t2 = _construct(SheafType, sol.h1, -sol.h, loc, "child types are not representable: ")
         todo.append(
             {
                 "t": t,

@@ -246,6 +246,10 @@ def test_a_shared_table_changes_nothing(monkeypatch, g, order):
         assert shared == fresh and dumps(shared) == dumps(fresh)
     # a later case is made from the nodes an earlier one built
     assert reduce(ctx, SheafType(12, 5), built=built).root is built[12, 5]
+    # every occurrence of every node of a shared tree is the table's node
+    for t in grid:
+        for node in _occurrences(reduce(ctx, t, built=built).root):
+            assert node is built[node.t.rank, node.t.degree]
 
     # with a bound some trees exceed, a subtree built for a shallow
     # occurrence can be refused when a later case reuses it deeper down
@@ -266,6 +270,20 @@ def test_depth_bound_admits_a_tree_of_equal_depth(monkeypatch):
     monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", depth - 1)
     with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
         reduce(G2, t)
+
+
+def test_the_depth_bound_is_tested_after_the_base_test(monkeypatch):
+    # the base test comes before the depth bound: a base root is made under
+    # a bound of 1, a composite root is refused there, and under a bound of 2
+    # its base children sit at the bound
+    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", 1)
+    assert isinstance(reduce(G2, SheafType(3, 0)).root, BaseStep)
+    with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
+        reduce(G2, SheafType(2, 1))
+    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", 2)
+    root = reduce(G2, SheafType(2, 1)).root
+    assert isinstance(root.mu1, BaseStep) and isinstance(root.mu2, BaseStep)
+    assert node_depth(root) == 2
 
 
 # Seeded ranks of ~650 digits whose trees are as deep as the bound allows
