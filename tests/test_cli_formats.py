@@ -1,6 +1,7 @@
 """JSON output variants and cross-command pipelines."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -14,6 +15,17 @@ def test_solve_lemma_json(capsys):
     assert main(["solve-lemma", "-g", "2", "-r", "4", "-d", "2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"rF": 3, "dF": -2, "r1": 2, "d1": -6, "h": 2, "h1": 2}
+    # a 300-digit composite type: the solution satisfies the window lemma
+    g, r, d = 3, 10**299 + 3, 2
+    assert main(["solve-lemma", "-g", str(g), "-r", str(r), "-d", str(d), "--format", "json"]) == 0
+    s = json.loads(capsys.readouterr().out)
+    h = math.gcd(r, d)
+    assert h < r
+    assert (1 - g) * s["rF"] * r + s["rF"] * d - r * s["dF"] == h
+    assert r < h * s["rF"] < 2 * r
+    assert (s["r1"], s["d1"]) == (h * s["rF"] - r, h * s["dF"] - d)
+    assert s["h"] == h and s["h1"] == math.gcd(s["r1"], s["d1"]) and s["h1"] % h == 0
+    assert s["r1"] * h < r * s["h1"]
 
 
 def test_chi_json(capsys):

@@ -121,8 +121,20 @@ def _chain_document(levels):
     yield ',\n  "total_affine_dim": 0,\n  "valid": true,\n  "version": 1\n}\n'
 
 
+def _compact_chain_document(levels):
+    """The document of _chain(levels) without whitespace, so its size grows
+    linearly with the depth (indented, it grows with the square)."""
+    base = '{"degree":0,"kind":"base","rank":1,"twist_degree":0}'
+    node = '{"d1":0,"dF":0,"det_maps":[],"h1":1,"hecke_affine":0,"kind":"composite","mu1":'
+    tail = f',"mu2":{base},"r1":1,"rF":1,"rho_affine":1,"rkV":1}}'
+    return ('{"composite_det":{"shift":0,"sign":1},"genus":2,"h":1,'
+            '"input":{"degree":0,"rank":1},"root":' + node * levels + base + tail * levels
+            + ',"total_affine_dim":0,"version":1}')
+
+
 def test_chain_document_pieces_match_stdlib():
     doc = trace_to_dict(_chain(3))
+    assert _compact_chain_document(3) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
     doc["valid"] = True
     assert "".join(_chain_document(3)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -140,11 +152,11 @@ def test_deep_chain_document_is_written_from_a_deep_stack():
 
 
 def test_deep_chain_document_is_refused_by_json_loads():
-    # dumps writes the document; json.loads, the one recursive reader, is
-    # refused with a ParseError, not a RecursionError
-    text = _deep_stack(lambda: dumps(_chain(5000)))[1]
+    # json.loads, the one recursive reader, is refused with a ParseError, not
+    # a RecursionError: 20,000 levels is deeper than it reads on any
+    # supported Python (3.13 reads about 10,000)
     with pytest.raises(ParseError, match="nested too deeply"):
-        loads(text)
+        loads(_compact_chain_document(20_000))
 
 
 def test_no_function_calls_itself():
