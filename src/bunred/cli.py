@@ -4,6 +4,15 @@ generic-hom, scan-splittings.
 Each command returns its output text and its verdict; main writes the text
 to --out or stdout.  Exit codes: 0 success and (where applicable) valid
 certificate, 1 domain error or invalid certificate, 2 usage error.
+
+Building the argparse parser for all seven commands takes longer than a
+small command's own work, so main builds only the sub-parser of the command
+named by its first argument.  It falls back to the full parser when there is
+no command, when the first argument is an option (such as -h) or names no
+command, and when the command's parser leaves an argument unrecognized: that
+error comes from the top-level parser, whose usage lists every command.  So
+usage, help and error text are the full parser's, byte for byte.  No parser
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Collection, Sequence
 
 from .diophantine import solve_lemma
 from .errors import BaseCaseReached, BunredError
@@ -232,68 +242,85 @@ def _cmd_scan_splittings(args: argparse.Namespace) -> tuple[str, bool]:
     ), True
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _type_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", "-g", type=int, required=True)
+    p.add_argument("--rank", "-r", type=int, required=True)
+    p.add_argument("--degree", "-d", type=int, required=True)
+
+
+def _pair_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", "-g", type=int, required=True)
+    p.add_argument("--t1", type=_parse_pair, required=True, metavar="r,d")
+    p.add_argument("--t2", type=_parse_pair, required=True, metavar="r,d")
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", "-g", type=_parse_range, required=True, metavar="a|a..b")
+    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--degree-range", type=_parse_range, required=True, metavar="a..b")
+    p.add_argument("--no-verify", action="store_true")
+    p.add_argument("--traces-dir", metavar="DIR")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+
+
+# name -> (help, handler, adds the command's own arguments); the usage lists
+# the commands in this order
+_COMMANDS = {
+    "reduce": ("build and verify one reduction certificate", _cmd_reduce, _type_args),
+    "sweep": ("run a grid of reductions and tabulate", _cmd_sweep, _sweep_args),
+    "verify": ("verify a serialized trace document", _cmd_verify, _verify_args),
+    "chi": ("evaluate the Euler form chi(t1, t2)", _cmd_chi, _pair_args),
+    "solve-lemma": ("solve the window equation for one type", _cmd_solve_lemma, _type_args),
+    "generic-hom": (
+        "generic Hom/Ext dimensions for a pair of types", _cmd_generic_hom, _pair_args
+    ),
+    "scan-splittings": (
+        "exhaustive bad-splitting scan for a pair", _cmd_scan_splittings, _pair_args
+    ),
+}
+
+
+def build_parser(names: Collection[str] = _COMMANDS.keys()) -> argparse.ArgumentParser:
+    """The parser with the sub-parsers of the commands in `names`; by
+    default, of every command."""
     parser = argparse.ArgumentParser(
         prog="bunred",
         description="Exact-arithmetic reduction certificates for moduli stacks "
         "of vector bundles on curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_type=False, with_rd=False):
-        p.add_argument("--genus", "-g", type=int, required=True)
-        if with_rd:
-            p.add_argument("--rank", "-r", type=int, required=True)
-            p.add_argument("--degree", "-d", type=int, required=True)
-        if with_type:
-            p.add_argument("--t1", type=_parse_pair, required=True, metavar="r,d")
-            p.add_argument("--t2", type=_parse_pair, required=True, metavar="r,d")
-
-    p = sub.add_parser("reduce", help="build and verify one reduction certificate")
-    add_common(p, with_rd=True)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("sweep", help="run a grid of reductions and tabulate")
-    p.add_argument("--genus", "-g", type=_parse_range, required=True, metavar="a|a..b")
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--degree-range", type=_parse_range, required=True, metavar="a..b")
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--traces-dir", metavar="DIR")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("verify", help="verify a serialized trace document")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("chi", help="evaluate the Euler form chi(t1, t2)")
-    add_common(p, with_type=True)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("solve-lemma", help="solve the window equation for one type")
-    add_common(p, with_rd=True)
-    p.set_defaults(func=_cmd_solve_lemma)
-
-    p = sub.add_parser("generic-hom", help="generic Hom/Ext dimensions for a pair of types")
-    add_common(p, with_type=True)
-    p.set_defaults(func=_cmd_generic_hom)
-
-    p = sub.add_parser("scan-splittings", help="exhaustive bad-splitting scan for a pair")
-    add_common(p, with_type=True)
-    p.set_defaults(func=_cmd_scan_splittings)
-
-    # every command writes to --out or stdout; generic-hom and
-    # scan-splittings print text only
-    for name, p in sub.choices.items():
+    for name, (help_text, func, add_args) in _COMMANDS.items():
+        if name not in names:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
+        # every command writes to --out or stdout; generic-hom and
+        # scan-splittings print text only
         p.add_argument("--out", metavar="FILE")
         if name not in ("generic-hom", "scan-splittings"):
             p.add_argument("--format", choices=("text", "json"), default="text")
-    # after --out, where the usage has always listed it
-    sub.choices["scan-splittings"].add_argument("--bound", type=int, default=20)
+        if name == "scan-splittings":
+            # after --out, where the usage has always listed it
+            p.add_argument("--bound", type=int, default=20)
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The full parser's namespace for `argv`, built with only the named
+    command's sub-parser wherever that gives the same result."""
+    if argv and argv[0] in _COMMANDS:
+        args, unrecognized = build_parser((argv[0],)).parse_known_args(argv)
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text, ok = args.func(args)
         if args.out:

@@ -2,13 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bunred import GenusContext, SheafType, dumps, reduce
-from bunred.cli import main
+from bunred.cli import build_parser, main
 
 
 def test_solve_lemma_json(capsys):
@@ -62,14 +64,31 @@ def test_sweep_no_verify(capsys):
     assert "9 cases, 9 valid" in out
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bunred", "chi", "-g", "2", "--t1", "3,-2", "--t2", "2,1"],
-        capture_output=True,
-        text=True,
-    )
+def test_module_entry_point(monkeypatch, capsys):
+    # the subprocess imports bunred from this checkout, installed or not
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "bunred", *argv],
+                              capture_output=True, text=True)
+
+    proc = run("chi", "-g", "2", "--t1", "3,-2", "--t2", "2,1")
     assert proc.returncode == 0
     assert "= 1" in proc.stdout
+    # main reads sys.argv itself; its usage errors are the full parser's, at
+    # one width in and out of process
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([], ["bogus"]):
+        proc = run(*argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", capsys.readouterr().err)
+        assert exc.value.code == 2
+    argv = ["scan-splittings", "-g", "2", "--t1", "3,-2", "--t2", "2,1", "--bound", "30"]
+    proc = run(*argv)
+    assert main(argv) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_solve_lemma_json_on_a_base_type(capsys):

@@ -1,0 +1,100 @@
+"""`main` builds only the named command's sub-parser; its usage, help and
+error text must stay the full parser's, and no call may leave state behind
+for the next."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bunred import cli
+from bunred.cli import main
+
+# one valid argv per command; verify's file need not exist to parse
+VALID = {
+    "reduce": ["reduce", "-g", "2", "-r", "5", "-d", "3"],
+    "sweep": ["sweep", "-g", "2", "--max-rank", "3", "--degree-range=-1..1"],
+    "verify": ["verify", "missing.json"],
+    "chi": ["chi", "-g", "2", "--t1", "3,-2", "--t2", "2,1"],
+    "solve-lemma": ["solve-lemma", "-g", "2", "-r", "4", "-d", "2"],
+    "generic-hom": ["generic-hom", "-g", "2", "--t1", "3,-2", "--t2", "2,1"],
+    "scan-splittings": ["scan-splittings", "-g", "2", "--t1", "3,-2", "--t2", "2,1"],
+}
+# a valid argv with one argument's value malformed: a pair, a range or an int
+MALFORMED = {
+    "reduce": ["reduce", "-g", "2", "-r", "five", "-d", "3"],
+    "sweep": ["sweep", "-g", "2", "--max-rank", "3", "--degree-range=-1..x"],
+    "chi": ["chi", "-g", "2", "--t1", "3", "--t2", "2,1"],
+    "solve-lemma": ["solve-lemma", "-g", "two", "-r", "4", "-d", "2"],
+    "generic-hom": ["generic-hom", "-g", "2", "--t1", "3,-2", "--t2", "2;1"],
+    "scan-splittings": ["scan-splittings", "-g", "2", "--t1", "x,y", "--t2", "2,1"],
+}
+
+
+def _command_cases(name):
+    valid = VALID[name]
+    yield valid
+    yield [name, "-h"]
+    yield [name]
+    # a required argument missing: verify's file, the others' --genus
+    yield [name, "--format", "json"] if name == "verify" else [name, *valid[3:]]
+    yield valid + ["--bogus"]
+    yield valid + ["extra"]
+    # generic-hom and scan-splittings take no --format at all
+    yield valid + ["--format", "xml"]
+    if name in MALFORMED:
+        yield MALFORMED[name]
+
+
+ARGV_CASES = [argv for name in VALID for argv in _command_cases(name)] + [
+    [], ["-h"], ["--help"], ["bogus"], ["reduc"], ["-h", "reduce"], ["--out", "x", "reduce"],
+]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of `main(argv)`."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_output_is_the_full_parsers(argv, monkeypatch, capsys):
+    got = _outcome(argv, capsys)
+    # the full parser for every call: what main did before it built one
+    # sub-parser, on this interpreter's argparse
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(argv, capsys)
+
+
+def _run_module(argv):
+    """`python -m bunred ARGV` in a fresh process: (exit code, stdout, stderr)
+    as bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-m", "bunred", *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_every_command_twice_in_one_process_prints_a_fresh_processs_bytes(tmp_path, capsys):
+    doc = tmp_path / "trace.json"
+    assert main(["reduce", "-g", "2", "-r", "12", "-d", "7", "--format", "json",
+                 "--out", str(doc)]) == 0
+    capsys.readouterr()
+    cases = {**VALID, "verify": ["verify", str(doc)]}
+    # both rounds go through the same main, command after command
+    rounds = []
+    for _ in range(2):
+        outcomes = {}
+        for name, argv in cases.items():
+            code, out, err = _outcome(argv, capsys)
+            outcomes[name] = (code, out.encode("utf-8"), err.encode("utf-8"))
+        rounds.append(outcomes)
+    for name, argv in cases.items():
+        assert rounds[0][name] == rounds[1][name] == _run_module(argv), name
