@@ -291,7 +291,9 @@ def build_parser(names: Collection[str] = _COMMANDS.keys()) -> argparse.Argument
         description="Exact-arithmetic reduction certificates for moduli stacks "
         "of vector bundles on curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the sub-parsers' prog prefix; left out, argparse formats the whole usage
+    # on every call only to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog="bunred")
     for name, (help_text, func, add_args) in _COMMANDS.items():
         if name not in names:
             continue

@@ -33,13 +33,18 @@ MALFORMED = {
 }
 
 
+def _missing_required(name):
+    """`name`'s valid argv with a required argument left out: verify's file,
+    the others' --genus."""
+    return [name, "--format", "json"] if name == "verify" else [name, *VALID[name][3:]]
+
+
 def _command_cases(name):
     valid = VALID[name]
     yield valid
     yield [name, "-h"]
     yield [name]
-    # a required argument missing: verify's file, the others' --genus
-    yield [name, "--format", "json"] if name == "verify" else [name, *valid[3:]]
+    yield _missing_required(name)
     yield valid + ["--bogus"]
     yield valid + ["extra"]
     # generic-hom and scan-splittings take no --format at all
@@ -70,6 +75,22 @@ def test_output_is_the_full_parsers(argv, monkeypatch, capsys):
     # sub-parser, on this interpreter's argparse
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert got == _outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_a_commands_errors_name_it(name, capsys):
+    # the full parser on both sides of the comparison above cannot see the
+    # sub-parsers' prog, so it is pinned here, through main and through the
+    # full parser
+    argv = _missing_required(name)
+    code, _, main_err = _outcome(argv, capsys)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    parser_err = capsys.readouterr().err
+    assert code == 2
+    for err in (main_err, parser_err):
+        assert err.startswith(f"usage: bunred {name} ")
+        assert err.splitlines()[-1].startswith(f"bunred {name}: error: ")
 
 
 def _run_module(argv):

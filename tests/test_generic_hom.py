@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from bunred import (
     MorphismKind,
     NotCovered,
     SheafType,
+    TheoremContradicted,
     euler_form,
     generic_hom,
     generic_morphism_kind,
@@ -18,6 +20,9 @@ from bunred import (
     solve_lemma,
 )
 
+# the module itself: the package re-exports the function generic_hom under
+# the module's name, so `import bunred.generic_hom as m` binds the function
+GH = importlib.import_module("bunred.generic_hom")
 G2 = GenusContext(2)
 
 
@@ -159,7 +164,118 @@ def test_scan_matches_filter_loop_on_grid():
 
 
 def test_scan_cost_does_not_grow_with_bound():
-    # the slope chain confines d to a short interval, so the cost follows the
-    # 48 splittings, not the 4*10^5 + 1 degrees within the bound
+    # the slope chain confines d to one interval per middle rank, and each
+    # interval costs two evaluations at its ends: the cost follows the 4
+    # middle ranks, not the 48 splittings or the 4*10^5 + 1 degrees within
+    # the bound
     rep = no_bad_splitting_scan(G2, SheafType(5, -12), SheafType(5, 12), 2 * 10**5)
     assert rep.examined == 48 and rep.violations == 0
+
+
+def _scan_each_degree(ctx, t1, t2, bound):
+    """The scan as one test per splitting: every degree of every middle
+    rank's interval is evaluated, in order.  The reference for the scan's
+    two evaluations per rank; it calls the module's euler_form, so a patched
+    one reaches both."""
+    chi_12 = GH.euler_form(ctx, t1, t2)
+    r1, d1 = t1.rank, t1.degree
+    r2, d2 = t2.rank, t2.degree
+    b = bound
+    examined = 0
+    for r in range(1, min(r1 - 1, r2) + 1):
+        lo = max(d1 * r // r1 + 1, -b, d1 - b, d2 - b)
+        hi = min(-(-d2 * r // r2) - 1, b, d1 + b, d2 + b)
+        rk, rq = r1 - r, r2 - r
+        for d in range(lo, hi + 1):
+            dk, dq = d1 - d, d2 - d
+            examined += 1
+            chi_kq = GH.euler_form(ctx, SheafType(rk, dk), SheafType(rq, dq))
+            if chi_kq <= 0:
+                raise TheoremContradicted(
+                    f"chi(({rk},{dk}),({rq},{dq})) = {chi_kq} <= 0 for a "
+                    f"slope-compatible splitting of {t1}, {t2}"
+                )
+            if not chi_kq * r1 * r2 > chi_12 * rk * rq:
+                raise TheoremContradicted(
+                    f"chain inequality failed for splitting ({rk},{dk}), ({rq},{dq})"
+                )
+    return examined
+
+
+def _random_pairs(rng, count):
+    """`count` (ctx, t1, t2) with genus 2..6, ranks 1..40, |degree| <= 200
+    and chi(t1, t2) >= 0."""
+    pairs = []
+    while len(pairs) < count:
+        ctx = GenusContext(rng.randint(2, 6))
+        t1 = SheafType(rng.randint(1, 40), rng.randint(-200, 200))
+        t2 = SheafType(rng.randint(1, 40), rng.randint(-200, 200))
+        if euler_form(ctx, t1, t2) >= 0:
+            pairs.append((ctx, t1, t2))
+    return pairs
+
+
+def test_scan_counts_every_degree_on_big_bounds():
+    total = 0
+    for ctx, t1, t2 in _random_pairs(random.Random(2201), 40):
+        for bound in (0, 5, 20, 2000, 10**6):
+            rep = no_bad_splitting_scan(ctx, t1, t2, bound)
+            assert rep.examined == _scan_each_degree(ctx, t1, t2, bound), (ctx, t1, t2, bound)
+            total += rep.examined
+    assert total > 10**4
+
+
+def test_scan_evaluates_two_ends_per_middle_rank(monkeypatch):
+    calls = []
+    real = GH.euler_form
+
+    def counted(ctx, a, b):
+        calls.append((a, b))
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(GH, "euler_form", counted)
+    rep = no_bad_splitting_scan(G2, SheafType(60, 7), SheafType(59, 300), 10**5)
+    assert rep.examined == 8793 and rep.violations == 0
+    # chi(t1, t2), then the two ends of each of the 59 middle ranks' intervals
+    assert len(calls) <= 1 + 2 * 59 == 119
+    for ctx, t1, t2 in _random_pairs(random.Random(2202), 30):
+        calls.clear()
+        no_bad_splitting_scan(ctx, t1, t2, 10**6)
+        assert len(calls) <= 1 + 2 * min(t1.rank - 1, t2.rank), (ctx, t1, t2)
+
+
+# (5,-12), (5,12) in genus 2: chi = 95, and middle rank 2 (kernel and
+# cokernel rank 3) has the interval -4 <= d <= 4, in which the chain test
+# needs chi(tK, tQ) >= 35.  Each fault is affine in d, holds below d = 1
+# and fails from d = 1 on, so the first failing splitting is inside the
+# interval, where neither end names it.
+FAULTS = {
+    "chi": (
+        lambda d: 35 * (1 - d),
+        "chi((3,-13),(3,11)) = 0 <= 0 for a slope-compatible splitting of (5,-12), (5,12)",
+    ),
+    "chain": (
+        lambda d: 35 - d,
+        "chain inequality failed for splitting (3,-13), (3,11)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_scan_names_the_first_failing_splitting(fault, monkeypatch):
+    value, message = FAULTS[fault]
+    t1, t2 = SheafType(5, -12), SheafType(5, 12)
+    real = GH.euler_form
+
+    def faulty(ctx, a, b):
+        # value(d) on the splittings of middle rank 2, d the middle degree
+        if (a.rank, b.rank) == (3, 3):
+            return value(t1.degree - a.degree)
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(GH, "euler_form", faulty)
+    with pytest.raises(TheoremContradicted) as each_degree:
+        _scan_each_degree(G2, t1, t2, 20)
+    with pytest.raises(TheoremContradicted) as scan:
+        no_bad_splitting_scan(G2, t1, t2, 20)
+    assert str(scan.value) == str(each_degree.value) == message
