@@ -6,13 +6,13 @@ to --out or stdout.  Exit codes: 0 success and (where applicable) valid
 certificate, 1 domain error or invalid certificate, 2 usage error.
 
 Building the argparse parser for all seven commands takes longer than a
-small command's own work, so main builds only the sub-parser of the command
-named by its first argument.  It falls back to the full parser when there is
-no command, when the first argument is an option (such as -h) or names no
-command, and when the command's parser leaves an argument unrecognized: that
-error comes from the top-level parser, whose usage lists every command.  So
-usage, help and error text are the full parser's, byte for byte.  No parser
-is kept between calls.
+small command's own work, so main parses a call that names a command with
+that command's parser alone: no top-level parser and no sub-parsers action
+are built.  The full parser runs when there is no command, when the first
+argument is an option (such as -h) or names no command, and when the
+command's parser leaves an argument unrecognized: that error comes from the
+top-level parser, whose usage lists every command.  So usage, help and error
+text are the full parser's, byte for byte.  No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 
 from .diophantine import solve_lemma
 from .errors import BaseCaseReached, BunredError
@@ -283,9 +283,24 @@ _COMMANDS = {
 }
 
 
-def build_parser(names: Collection[str] = _COMMANDS.keys()) -> argparse.ArgumentParser:
-    """The parser with the sub-parsers of the commands in `names`; by
-    default, of every command."""
+def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Everything command `name` parses, on `p`: the one place each
+    command's arguments are defined."""
+    _, func, add_args = _COMMANDS[name]
+    add_args(p)
+    p.set_defaults(func=func)
+    # every command writes to --out or stdout; generic-hom and
+    # scan-splittings print text only
+    p.add_argument("--out", metavar="FILE")
+    if name not in ("generic-hom", "scan-splittings"):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    if name == "scan-splittings":
+        # after --out, where the usage has always listed it
+        p.add_argument("--bound", type=int, default=20)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command's sub-parser under `bunred`."""
     parser = argparse.ArgumentParser(
         prog="bunred",
         description="Exact-arithmetic reduction certificates for moduli stacks "
@@ -294,28 +309,27 @@ def build_parser(names: Collection[str] = _COMMANDS.keys()) -> argparse.Argument
     # the sub-parsers' prog prefix; left out, argparse formats the whole usage
     # on every call only to derive it
     sub = parser.add_subparsers(dest="command", required=True, prog="bunred")
-    for name, (help_text, func, add_args) in _COMMANDS.items():
-        if name not in names:
-            continue
-        p = sub.add_parser(name, help=help_text)
-        add_args(p)
-        p.set_defaults(func=func)
-        # every command writes to --out or stdout; generic-hom and
-        # scan-splittings print text only
-        p.add_argument("--out", metavar="FILE")
-        if name not in ("generic-hom", "scan-splittings"):
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        if name == "scan-splittings":
-            # after --out, where the usage has always listed it
-            p.add_argument("--bound", type=int, default=20)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command `name`'s parser on its own, with the prog its sub-parser has
+    in the full parser; its namespaces equal the full parser's."""
+    p = argparse.ArgumentParser(prog=f"bunred {name}")
+    _add_command_arguments(p, name)
+    p.set_defaults(command=name)
+    return p
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The full parser's namespace for `argv`, built with only the named
-    command's sub-parser wherever that gives the same result."""
+    """The full parser's namespace for `argv`.  A call naming a command is
+    parsed by that command's parser alone; only when that parser leaves an
+    argument unrecognized, or there is no command to name, does the full
+    parser run, so usage, help and error text equal the full parser's."""
     if argv and argv[0] in _COMMANDS:
-        args, unrecognized = build_parser((argv[0],)).parse_known_args(argv)
+        args, unrecognized = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not unrecognized:
             return args
     return build_parser().parse_args(argv)

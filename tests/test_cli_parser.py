@@ -1,7 +1,9 @@
-"""`main` builds only the named command's sub-parser; its usage, help and
-error text must stay the full parser's, and no call may leave state behind
-for the next."""
+"""`main` parses a call that names a command with that command's parser
+alone, and the full parser only as a fallback; its usage, help and error
+text must stay the full parser's, and no call may leave state behind for the
+next."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -55,6 +57,14 @@ def _command_cases(name):
 
 ARGV_CASES = [argv for name in VALID for argv in _command_cases(name)] + [
     [], ["-h"], ["--help"], ["bogus"], ["reduc"], ["-h", "reduce"], ["--out", "x", "reduce"],
+    # argparse's less common paths, through the command's parser alone
+    ["reduce", "--gen", "2", "-r", "5", "-d", "3"],
+    ["reduce", "-g2", "-r", "5", "-d", "3"],
+    ["reduce", "-g", "2", "-r", "5", "--degree=-3"],
+    ["reduce", "-g", "2", "-r", "5", "-d", "3", "-d", "4"],
+    ["chi", "--out", os.devnull, "-g", "2", "--t1", "3,-2", "--t2", "2,1"],
+    ["verify", "--", "-x.json"],
+    ["reduce", "-g", "2", "-r", "5", "-h"],
 ]
 
 
@@ -75,6 +85,32 @@ def test_output_is_the_full_parsers(argv, monkeypatch, capsys):
     # sub-parser, on this interpreter's argparse
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert got == _outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_a_valid_call_builds_its_commands_parser_alone(name, monkeypatch):
+    # equal outputs cannot show a silent fall-back to the full parser, so
+    # count the parsers each call builds, by prog
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    argv = VALID[name]
+    full = vars(cli.build_parser().parse_args(argv))
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert vars(cli._parse_args(argv)) == full
+    assert full["command"] == name
+    assert built == [f"bunred {name}"]
+    # an argument the command does not take: its parser, then the full one
+    # (the top level and one sub-parser per command)
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli._parse_args(argv + ["--bogus"])
+    assert built[:2] == [f"bunred {name}", "bunred"]
+    assert len(built) == 2 + len(VALID)
 
 
 @pytest.mark.parametrize("name", VALID)
