@@ -17,8 +17,8 @@ class InvalidArgument(BunredError):
 
 class DomainError(BunredError):
     """The inputs or a result are outside the range the operation handles: a
-    genus below 2, a reduction tree deeper than reduction.MAX_TREE_DEPTH, or
-    an integer past Python's int-to-str limit."""
+    genus below 2, a trace document for a tree deeper than
+    serialize.MAX_TREE_DEPTH, or an integer past Python's int-to-str limit."""
 
 
 class HypothesisNotMet(BunredError):

@@ -53,12 +53,10 @@ table belongs to one genus, and a caller that reduces many types of one
 genus (the CLI's sweep) can share one, so a type solved for one case is
 reused by the next.  A composite type enters the table only once both of
 its children are built, so an error partway through leaves only complete
-subtrees in it.  reduce() refuses
-a tree deeper than MAX_TREE_DEPTH with a DomainError, for a reused subtree
-too.  No walker of a tree in this package recurses (the serializer, the
-parser, the CLI's text writer and node equality all use explicit stacks);
-the bound exists for json.loads, which recurses once per nesting level of a
-document and is the only recursive reader of a tree left.
+subtrees in it.  Nothing bounds the depth of the tree reduce() builds: no
+walker of a tree in this package recurses (the serializer, the parser, the
+CLI's text writer and node equality all use explicit stacks).  Only a trace
+document has a depth ceiling, serialize.MAX_TREE_DEPTH, which dumps enforces.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from typing import NamedTuple
 
 from .affine import DegreeAffineMap, _fold_det
 from .diophantine import LemmaSolution, solve_lemma
-from .errors import CertificateInvalid, DomainError, InvalidType
+from .errors import CertificateInvalid, InvalidType
 from .euler import euler_form
 from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
 
@@ -183,17 +181,6 @@ def node_depth(node: StepNode) -> int:
     return depth
 
 
-# Deepest tree reduce() builds.  Its reason is json.loads, which recurses
-# once per nesting level of a document and counts against the recursion
-# limit: the trace document of a tree this deep nests 942 levels (the
-# document, one object per tree level, and a determinant-map list and object
-# below the deepest composite), so it still loads at Python's default
-# recursion limit of 1,000 when called from up to about 50 frames deep.  A
-# typical tree has about 1.5 levels per decimal digit of the rank, so this
-# admits most ranks of up to about 600 digits.
-MAX_TREE_DEPTH = 940
-
-
 def reduce(
     ctx: GenusContext,
     t: SheafType,
@@ -204,8 +191,7 @@ def reduce(
 
     Recursion on r/h: a base step twists degree to 0; otherwise one window
     solution produces the kernel type (r1, d1) and the Hecke target (h1, -h),
-    both strictly smaller in the r/h measure.  A tree deeper than
-    MAX_TREE_DEPTH is refused with a DomainError.
+    both strictly smaller in the r/h measure.  The tree may be of any depth.
 
     built is the table of types already built, (rank, degree) -> node, for
     ctx's genus only; reduce adds the types it builds to it.  None means a
@@ -233,7 +219,7 @@ def _build_tree(
     """The reduction tree of t, each distinct type solved and built once.
 
     One explicit-stack pass.  Every type (the root, and both children of
-    each composite) is entered the same way, as (rank, degree, depth), in
+    each composite) is entered the same way, as (rank, degree), in
     the order the recursive definition visits it: the node, then its mu1
     subtree, then its mu2 subtree.  An entered type already in built is
     reused; a base type (d % r == 0) is made at once; any other type is
@@ -241,18 +227,16 @@ def _build_tree(
     is called in that order, once per distinct composite type.  built maps
     (rank, degree) to its node, so every later occurrence of a type, in this
     tree or in a later one built with the same table, is the same frozen
-    node.  A composite enters built only after both of its children, so a
-    DomainError partway through leaves only complete subtrees in it.  Depth
-    is checked against MAX_TREE_DEPTH before a type is solved, and for a
-    composite subtree already in built when it is reused.
+    node.  A composite enters built only after both of its children, so an
+    error partway through leaves only complete subtrees in it.
     """
-    # (rank, degree, depth) enters a type at that depth;
-    # (type, sol) makes its composite node once both children are built.
+    # (rank, degree) enters a type; (type, sol), whose type is a SheafType,
+    # makes its composite node once both children are built.
     root = t.rank, t.degree
-    todo: list = [(*root, 1)]
+    todo: list = [root]
     while todo:
         item = todo.pop()
-        if len(item) == 2:
+        if item[0].__class__ is SheafType:
             t, sol = item
             h = sol.h
             mu1 = built[sol.r1, sol.d1]
@@ -275,33 +259,18 @@ def _build_tree(
                 ),
             )
             continue
-        r, d, depth = item
-        node = built.get((r, d))
-        if node is not None:
-            if node.__class__ is CompositeStep and depth + node_depth(node) - 1 > MAX_TREE_DEPTH:
-                raise _too_deep()
+        r, d = item
+        if item in built:
             continue
         if d % r == 0:
             built[r, d] = BaseStep(t=SheafType(r, d), twist_degree=-(d // r))
             continue
-        if depth == MAX_TREE_DEPTH:
-            raise _too_deep()
         t = SheafType(r, d)
         sol = solve_lemma(ctx, t)
         todo.append((t, sol))
-        todo.append((sol.h1, -sol.h, depth + 1))
-        todo.append((sol.r1, sol.d1, depth + 1))
+        todo.append((sol.h1, -sol.h))
+        todo.append((sol.r1, sol.d1))
     return built[root]
-
-
-def _too_deep() -> DomainError:
-    return DomainError(
-        "the reduction tree is deeper than the recursion limit of json.loads "
-        f"allows: reduce builds at most {MAX_TREE_DEPTH} levels, so that its trace "
-        "document can be read back at Python's default recursion limit, and a "
-        "typical tree has about 1.5 levels per decimal digit of the rank, so most "
-        "ranks of more than about 600 digits are out of range"
-    )
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,11 @@ objects, for callers that edit it.  Emitted integers are plain JSON numbers;
 consumers limited to 64-bit integers must keep inputs small enough that every
 field fits, which holds for any desk-scale genus/rank/degree.  Documents are
 read as UTF-8 only, from bytes and files alike.
+
+A document is the one place a tree's depth is bounded, because json.loads
+recurses: dumps refuses a tree deeper than MAX_TREE_DEPTH with a DomainError,
+and loads reports a document nested deeper than json.loads reads as a
+ParseError.  reduce, the verifier and text output take trees of any depth.
 """
 
 from __future__ import annotations
@@ -222,6 +227,18 @@ def int_limit_error() -> DomainError:
     )
 
 
+# Deepest tree dumps writes.  Its reason is json.loads, which recurses once
+# per nesting level of a document and counts against the recursion limit:
+# the document of a tree this deep nests 942 levels (the document, one
+# object per tree level, and a determinant-map list and object below the
+# deepest composite), so it still loads at Python's default recursion limit
+# of 1,000 when called from up to about 50 frames deep.  A tree has about
+# 1.5 levels per decimal digit of the rank for a random degree and about 3.3
+# with degree -1, so this admits most ranks of up to about 600 digits, but
+# only about 280 with degree -1.
+MAX_TREE_DEPTH = 940
+
+
 def dumps(trace: ReductionTrace, *, valid: bool | None = None) -> str:
     """The trace's document: sorted keys, two-space indent, trailing newline.
 
@@ -231,7 +248,9 @@ def dumps(trace: ReductionTrace, *, valid: bool | None = None) -> str:
     plain int (not a bool), as reduce and loads make them.  The text is written
     straight from the tree, one explicit-stack pass in pre-order, so no depth
     meets the recursion limit and no document object is built.  An integer
-    longer than the int-to-str limit raises a DomainError (int_limit_error).
+    longer than the int-to-str limit raises a DomainError (int_limit_error),
+    and so does a tree deeper than MAX_TREE_DEPTH, checked at each node's
+    own level (the root's is 1).
     """
     m, t = trace.composite_det, trace.input
     # breaks[k]: a line break and k levels of indent, one string shared by
@@ -253,6 +272,12 @@ def dumps(trace: ReductionTrace, *, valid: bool | None = None) -> str:
                 parts += item
                 continue
             node, k = item
+            if k > MAX_TREE_DEPTH:
+                raise DomainError(
+                    "the reduction tree is deeper than the recursion limit of json.loads "
+                    f"allows: a trace document holds at most {MAX_TREE_DEPTH} levels, about "
+                    "600 digits of rank for a random degree and 280 for degree -1"
+                )
             while len(breaks) < k + 4:
                 breaks.append(breaks[-1] + "  ")
             ind = breaks[k + 1]
@@ -310,7 +335,7 @@ def loads(text: str | bytes) -> ReductionTrace:
     except RecursionError:
         # from json.loads, the one reader that recurses (in C, once per
         # nesting level): a document from outside can be nested deeper than
-        # any trace reduce builds (reduction.MAX_TREE_DEPTH)
+        # any document dumps writes (MAX_TREE_DEPTH)
         raise ParseError("$", "document nested too deeply") from None
     except ValueError:
         # from json.loads (trace_from_dict raises only ParseError): an integer
@@ -331,8 +356,11 @@ def _utf8(data: bytes | bytearray) -> str:
 
 
 def dump(trace: ReductionTrace, path: str) -> None:
+    """Write the trace's document to path; a trace dumps refuses leaves the
+    file as it was."""
+    text = dumps(trace)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(trace))
+        f.write(text)
 
 
 def load(path: str) -> ReductionTrace:

@@ -1,8 +1,9 @@
 """Exact integer domain types: sheaf types, genus context, basic arithmetic.
 
 All arithmetic in this package is on Python integers (arbitrary precision),
-so nothing overflows.  Two size ceilings remain.  `reduce` refuses a tree
-deeper than `reduction.MAX_TREE_DEPTH`, where the reason is given.
+so nothing overflows.  Two size ceilings remain.  `serialize.dumps` refuses
+a tree deeper than `serialize.MAX_TREE_DEPTH` with a DomainError, where the
+reason is given; `reduce`, the verifier and text output take any depth.
 Python's int-to-str limit (`sys.get_int_max_str_digits`, 4,300 digits by
 default) makes `serialize.dumps` raise a DomainError on a longer integer, and
 `serialize.loads` reports one as a ParseError; the CLI reports either as an

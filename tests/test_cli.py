@@ -277,14 +277,19 @@ def test_verify_file_that_is_not_utf8_is_an_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_reduce_deeper_than_recursion_limit_is_domain_error():
-    # 1,200 digits; the tree is 1,840 levels deep
-    rank = 2**3985 + 1
-    proc = _run_module("reduce", "-g", "2", "-r", str(rank), "-d", "7")
+def test_reduce_deeper_than_recursion_limit_is_domain_error(tmp_path):
+    # 300 digits with degree -1; the tree is 996 levels deep, more than a
+    # trace document holds, so the document is refused and --out not made
+    rank = 3 * 10**299 + 1
+    out = tmp_path / "deep.json"
+    proc = _run_module(
+        "reduce", "-g", "2", "-r", str(rank), "-d", "-1", "--format", "json", "--out", str(out)
+    )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: the reduction tree is deeper than the recursion limit")
     assert "600 digits" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,16 +13,23 @@ from bunred import (
     BaseStep,
     CompositeStep,
     DegreeAffineMap,
+    DomainError,
+    GenusContext,
     LemmaSolution,
     ParseError,
     ReductionTrace,
     SheafType,
     dumps,
     loads,
+    node_depth,
+    reduce,
     trace_from_dict,
+    trace_ok,
     trace_to_dict,
+    verify_trace,
 )
-from bunred.cli import format_trace_text
+from bunred import serialize
+from bunred.cli import format_trace_text, main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bunred"
 
@@ -139,9 +146,11 @@ def test_chain_document_pieces_match_stdlib():
     assert "".join(_chain_document(3)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def test_deep_chain_document_is_written_from_a_deep_stack():
-    # twice the recursion limit: deep enough, and the text stays ~70 MB
+def test_deep_chain_document_is_written_from_a_deep_stack(monkeypatch):
+    # twice the recursion limit: deep enough, and the text stays ~70 MB; the
+    # bound on a document's depth is raised to let the chain through
     levels = 2 * sys.getrecursionlimit()
+    monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", levels + 1)
     depth, out = _deep_stack(lambda: dumps(_chain(levels), valid=True))
     assert depth >= STACK_FRAMES
     pos = 0
@@ -157,6 +166,51 @@ def test_deep_chain_document_is_refused_by_json_loads():
     # supported Python (3.13 reads about 10,000)
     with pytest.raises(ParseError, match="nested too deeply"):
         loads(_compact_chain_document(20_000))
+
+
+# 300 digits with degree -1: a reduction tree of 996 levels, deeper than a
+# trace document holds (serialize.MAX_TREE_DEPTH, 940 levels)
+DEEP_TYPE = SheafType(3 * 10**299 + 1, -1)
+TOO_DEEP = "^the reduction tree is deeper than the recursion limit of json.loads allows"
+
+
+def test_a_tree_deeper_than_a_document_holds_is_built_and_verified():
+    def run():
+        trace = reduce(GenusContext(2), DEEP_TYPE)
+        return trace, trace_ok(trace, {}), verify_trace(trace).ok
+
+    depth, (trace, ok, valid) = _deep_stack(run)
+    assert depth >= STACK_FRAMES
+    assert node_depth(trace.root) == 996 > serialize.MAX_TREE_DEPTH
+    assert ok and valid
+    with pytest.raises(DomainError, match=TOO_DEEP):
+        _deep_stack(lambda: dumps(trace))
+
+
+def test_a_tree_deeper_than_a_document_holds_is_written_as_text(capsys):
+    argv = ["reduce", "-g", "2", "-r", str(DEEP_TYPE.rank), "-d", str(DEEP_TYPE.degree)]
+    depth, code = _deep_stack(lambda: main(argv))
+    assert depth >= STACK_FRAMES
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("certificate VALID (")
+    assert max(len(line) - len(line.lstrip()) for line in lines[1:-3]) == 2 * 996
+
+
+def test_a_shared_table_serves_a_deep_and_a_shallow_case():
+    ctx = GenusContext(2)
+    cases = [SheafType(12, 5), DEEP_TYPE, SheafType(7, -1), DEEP_TYPE]
+
+    def run():
+        built = {}
+        return [(reduce(ctx, t, built=built), reduce(ctx, t)) for t in cases], built
+
+    depth, (pairs, built) = _deep_stack(run)
+    assert depth >= STACK_FRAMES
+    for shared, fresh in pairs:
+        assert shared == fresh and shared.root is built[shared.input.rank, shared.input.degree]
+    assert node_depth(pairs[1][0].root) == 996
+    assert pairs[3][0].root is pairs[1][0].root
 
 
 def test_no_function_calls_itself():

@@ -25,7 +25,7 @@ from bunred import (  # noqa: E402
     trace_to_dict,
     verify_trace,
 )
-from bunred.reduction import MAX_TREE_DEPTH  # noqa: E402
+from bunred.serialize import MAX_TREE_DEPTH  # noqa: E402
 
 genera = st.integers(2, 6)
 

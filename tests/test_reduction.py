@@ -22,7 +22,7 @@ from bunred import (
     solve_lemma,
     verify_trace,
 )
-from bunred import reduction
+from bunred import reduction, serialize
 from bunred.affine import _fold_det
 from bunred.cli import format_trace_text
 
@@ -226,16 +226,9 @@ def test_a_base_root_enters_the_table():
     assert reduce(GenusContext(2), SheafType(3, 0), built=table).root is table[3, 0]
 
 
-def _reduce_or_error(ctx, t, built):
-    try:
-        return dumps(reduce(ctx, t, built=built))
-    except DomainError as exc:
-        return f"DomainError: {exc}"
-
-
 @pytest.mark.parametrize("order", ["ascending", "descending"])
 @pytest.mark.parametrize("g", [2, 3])
-def test_a_shared_table_changes_nothing(monkeypatch, g, order):
+def test_a_shared_table_changes_nothing(g, order):
     ctx = GenusContext(g)
     ranks = range(1, 13) if order == "ascending" else range(12, 0, -1)
     grid = [SheafType(r, d) for r in ranks for d in range(-12, 13)]
@@ -251,42 +244,35 @@ def test_a_shared_table_changes_nothing(monkeypatch, g, order):
         for node in _occurrences(reduce(ctx, t, built=built).root):
             assert node is built[node.t.rank, node.t.degree]
 
-    # with a bound some trees exceed, a subtree built for a shallow
-    # occurrence can be refused when a later case reuses it deeper down
-    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", 4)
-    built = {}
-    outcomes = [(_reduce_or_error(ctx, t, built), _reduce_or_error(ctx, t, None)) for t in grid]
-    assert all(shared == fresh for shared, fresh in outcomes)
-    refused = sum(fresh.startswith("DomainError: the reduction tree") for _, fresh in outcomes)
-    assert 0 < refused < len(grid)
-
 
 def test_depth_bound_admits_a_tree_of_equal_depth(monkeypatch):
-    t = SheafType(10**29 + 7, 10**28 + 3)
-    depth = node_depth(reduce(G2, t).root)
-    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", depth)
-    assert reduction.MAX_TREE_DEPTH == depth
-    assert node_depth(reduce(G2, t).root) == depth
-    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", depth - 1)
+    trace = reduce(G2, SheafType(10**29 + 7, 10**28 + 3))
+    depth = node_depth(trace.root)
+    monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", depth)
+    assert serialize.MAX_TREE_DEPTH == depth
+    assert loads(dumps(trace)) == trace
+    monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", depth - 1)
     with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
-        reduce(G2, t)
+        dumps(trace)
 
 
 def test_the_depth_bound_is_tested_after_the_base_test(monkeypatch):
-    # the base test comes before the depth bound: a base root is made under
-    # a bound of 1, a composite root is refused there, and under a bound of 2
-    # its base children sit at the bound
-    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", 1)
-    assert isinstance(reduce(G2, SheafType(3, 0)).root, BaseStep)
+    # the bound is checked at each node's own level, the root's being 1: a
+    # base root is written under a bound of 1, a composite root is refused
+    # there, and under a bound of 2 its base children sit at the bound
+    monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", 1)
+    assert loads(dumps(reduce(G2, SheafType(3, 0)))).root == BaseStep(SheafType(3, 0), 0)
+    trace = reduce(G2, SheafType(2, 1))
     with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
-        reduce(G2, SheafType(2, 1))
-    monkeypatch.setattr(reduction, "MAX_TREE_DEPTH", 2)
-    root = reduce(G2, SheafType(2, 1)).root
+        dumps(trace)
+    monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", 2)
+    root = trace.root
     assert isinstance(root.mu1, BaseStep) and isinstance(root.mu2, BaseStep)
     assert node_depth(root) == 2
+    assert loads(dumps(trace)) == trace
 
 
-# Seeded ranks of ~650 digits whose trees are as deep as the bound allows
+# Seeded ranks of ~650 digits whose trees are as deep as a document holds
 # (MAX_TREE_DEPTH, 940 levels), or nearly: (seed, digits, depth).  json.loads
 # reads them back from pytest's stack, some 30 frames deep.
 DEEP_SEEDS = [("deep/80", 635, 940), ("deep/355", 650, 938)]
@@ -298,7 +284,7 @@ def test_deepest_trees_are_written_and_read_back(seed, digits, depth):
     assert rng.randrange(625, 660) == digits
     rank = rng.randrange(10 ** (digits - 1), 10**digits)
     trace = reduce(G2, SheafType(rank, rng.randrange(-rank, rank)))
-    assert node_depth(trace.root) == depth <= reduction.MAX_TREE_DEPTH
+    assert node_depth(trace.root) == depth <= serialize.MAX_TREE_DEPTH
     text = format_trace_text(trace, None)
     assert text.count("\n") == len(_occurrences(trace.root)) + 3
     # the document `reduce --format json` writes; rewriting the parsed

@@ -171,6 +171,21 @@ def test_integer_beyond_str_limit_outside_the_tree(field):
     assert str(exc.value) == str(serialize.int_limit_error())
 
 
+@pytest.mark.parametrize("deep", [False, True], ids=["int_limit", "too_deep"])
+def test_a_refused_dump_leaves_the_file_as_it_was(tmp_path, monkeypatch, deep):
+    path = tmp_path / "trace.json"
+    trace = reduce(GenusContext(2), SheafType(2, 1))
+    dump(trace, str(path))
+    before = path.read_bytes()
+    if deep:
+        monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", 1)
+    else:
+        trace = replace(trace, h=10 ** sys.get_int_max_str_digits())
+    with pytest.raises(DomainError):
+        dump(trace, str(path))
+    assert path.read_bytes() == before
+
+
 def test_recursion_in_trace_from_dict_is_parse_error(monkeypatch):
     def too_deep(doc):
         raise RecursionError("maximum recursion depth exceeded")
