@@ -12,10 +12,6 @@ from .errors import (
     CertificateInvalid,
     DomainError,
     HypothesisNotMet,
-    InternalInvariantViolation,
-    InvalidArgument,
-    InvalidType,
-    NotCovered,
     ParseError,
     TheoremContradicted,
 )

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidArgument
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class DegreeAffineMap:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise InvalidArgument(f"sign must be +1 or -1, got {self.sign}")
+            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
 
     def apply(self, degree: int) -> int:
         return self.sign * degree + self.shift

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BaseCaseReached, InternalInvariantViolation, InvalidType
-from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
+from .errors import BaseCaseReached, DomainError, TheoremContradicted
+from .types import GenusContext, SheafType, require_genus_ge_2
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class LemmaSolution:
 def _check_preconditions(ctx: GenusContext, t: SheafType) -> int:
     require_genus_ge_2(ctx)
     if t.rank < 1:
-        raise InvalidType(f"reduction step needs rank >= 1, got {t}")
-    h = hcf_of_type(t)
+        raise DomainError(f"reduction step needs rank >= 1, got {t}")
+    h = math.gcd(t.rank, t.degree)
     if t.rank == h:
         raise BaseCaseReached(f"rank equals hcf for {t}; reduction is a twist")
     return h
@@ -91,7 +91,7 @@ def solve_lemma_bruteforce(ctx: GenusContext, t: SheafType) -> LemmaSolution:
         if num % r == 0:
             hits.append((rF, num // r))
     if len(hits) != 1:
-        raise InternalInvariantViolation(
+        raise TheoremContradicted(
             f"window scan for {t} found {len(hits)} solutions, expected exactly 1"
         )
     return _solution(t, h, *hits[0])

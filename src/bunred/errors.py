@@ -7,35 +7,22 @@ class BunredError(Exception):
     """Root of every error raised by this package."""
 
 
-class InvalidType(BunredError):
-    """A (rank, degree) pair violates the sheaf-type invariants."""
-
-
-class InvalidArgument(BunredError):
-    """An argument is outside the operation's stated domain."""
-
-
 class DomainError(BunredError):
     """The inputs or a result are outside the range the operation handles: a
-    genus below 2, a trace document for a tree deeper than
-    serialize.MAX_TREE_DEPTH, or an integer past Python's int-to-str limit."""
+    pair that is not a sheaf type, a rank-zero type where a positive rank is
+    needed, a genus below 2, an argument outside the operation's stated
+    domain, a trace document for a tree deeper than serialize.MAX_TREE_DEPTH,
+    or an integer past Python's int-to-str limit."""
 
 
 class HypothesisNotMet(BunredError):
     """The inputs do not satisfy the hypothesis of the theorem being applied."""
 
 
-class NotCovered(BunredError):
-    """No prediction exists for these inputs (rank-zero types)."""
-
-
 class TheoremContradicted(BunredError):
-    """An exhaustive scan found a counterexample; signals a bug in the scan."""
-
-
-class InternalInvariantViolation(BunredError):
-    """A derived quantity failed a check that is guaranteed to hold.  Only the
-    oracle solve_lemma_bruteforce raises it, when its scan finds no unique hit."""
+    """A proved statement failed: the splitting scan found a counterexample,
+    or the oracle solve_lemma_bruteforce found no unique window solution.
+    Signals a bug."""
 
 
 class CertificateInvalid(BunredError):

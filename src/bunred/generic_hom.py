@@ -17,13 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import (
-    HypothesisNotMet,
-    InvalidArgument,
-    InvalidType,
-    NotCovered,
-    TheoremContradicted,
-)
+from .errors import DomainError, HypothesisNotMet, TheoremContradicted
 from .euler import euler_form
 from .types import GenusContext, SheafType, require_genus_ge_2
 
@@ -54,7 +48,7 @@ def generic_hom(ctx: GenusContext, t1: SheafType, t2: SheafType) -> GenericHomRe
     """
     require_genus_ge_2(ctx)
     if t1.rank < 1 or t2.rank < 1:
-        raise NotCovered(f"no prediction for rank-zero types: {t1}, {t2}")
+        raise DomainError(f"no prediction for rank-zero types: {t1}, {t2}")
     chi = euler_form(ctx, t1, t2)
     if chi < 0:
         return GenericHomReport(hom_dim=0, ext_dim=0, covered=False)
@@ -68,7 +62,7 @@ def generic_morphism_kind(ctx: GenusContext, t1: SheafType, t2: SheafType) -> Mo
     """
     require_genus_ge_2(ctx)
     if t1.rank < 1 or t2.rank < 1:
-        raise InvalidType(f"morphism kind needs positive ranks, got {t1}, {t2}")
+        raise DomainError(f"morphism kind needs positive ranks, got {t1}, {t2}")
     chi = euler_form(ctx, t1, t2)
     if chi < 1:
         raise HypothesisNotMet(f"chi({t1},{t2}) = {chi} < 1")
@@ -118,9 +112,9 @@ def no_bad_splitting_scan(
     """
     require_genus_ge_2(ctx)
     if t1.rank < 1 or t2.rank < 1:
-        raise InvalidType(f"scan needs positive ranks, got {t1}, {t2}")
+        raise DomainError(f"scan needs positive ranks, got {t1}, {t2}")
     if degree_bound < 0:
-        raise InvalidArgument(f"degree bound must be >= 0, got {degree_bound}")
+        raise DomainError(f"degree bound must be >= 0, got {degree_bound}")
     chi_12 = euler_form(ctx, t1, t2)
     if chi_12 < 0:
         raise HypothesisNotMet(f"chi({t1},{t2}) = {chi_12} < 0")

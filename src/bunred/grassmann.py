@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import InvalidArgument
+from .errors import DomainError
 from .euler import bun_stack_dim
 from .types import GenusContext, SheafType, require_genus_ge_2
 
@@ -31,7 +31,7 @@ def parabolic_dim(
     """
     require_genus_ge_2(ctx)
     if not 1 <= m <= r:
-        raise InvalidArgument(f"need 1 <= m <= r, got m={m}, r={r}")
+        raise DomainError(f"need 1 <= m <= r, got m={m}, r={r}")
     fiber = m * (r - m)
     if route is HeckeRoute.HECKE1:
         return bun_stack_dim(ctx, SheafType(r, d)) + fiber

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 from .affine import DegreeAffineMap, _fold_det
 from .diophantine import LemmaSolution, solve_lemma
-from .errors import CertificateInvalid, InvalidType
+from .errors import CertificateInvalid, DomainError
 from .euler import euler_form
 from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
 
@@ -199,9 +199,9 @@ def reduce(
     """
     require_genus_ge_2(ctx)
     if t.rank < 1:
-        raise InvalidType(f"reduction needs rank >= 1, got {t}")
+        raise DomainError(f"reduction needs rank >= 1, got {t}")
     root = _build_tree(ctx, t, {} if built is None else built)
-    h = hcf_of_type(t)
+    h = math.gcd(t.rank, t.degree)
     return ReductionTrace(
         genus=ctx.genus,
         input=t,

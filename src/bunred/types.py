@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidArgument, InvalidType
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class SheafType:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise InvalidType(f"rank must be >= 0, got {self.rank}")
+            raise DomainError(f"rank must be >= 0, got {self.rank}")
         if self.rank == 0 and self.degree < 0:
-            raise InvalidType(
+            raise DomainError(
                 f"rank-zero types are torsion and need degree >= 0, got degree {self.degree}"
             )
 
@@ -50,7 +50,7 @@ class GenusContext:
 
     def __post_init__(self):
         if self.genus < 0:
-            raise InvalidArgument(f"genus must be >= 0, got {self.genus}")
+            raise DomainError(f"genus must be >= 0, got {self.genus}")
 
 
 def require_genus_ge_2(ctx: GenusContext) -> None:
@@ -70,5 +70,5 @@ def hcf_of_type(t: SheafType) -> int:
     rank >= 1.
     """
     if t.rank < 1:
-        raise InvalidType(f"hcf needs rank >= 1, got {t}")
+        raise DomainError(f"hcf needs rank >= 1, got {t}")
     return math.gcd(t.rank, t.degree)

@@ -12,8 +12,10 @@ no scan over twists.
 
 from __future__ import annotations
 
-from .errors import InvalidType
-from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
+import math
+
+from .errors import DomainError
+from .types import GenusContext, SheafType, require_genus_ge_2
 
 
 def minimal_rank_divisor(ctx: GenusContext, t: SheafType) -> tuple[int, tuple[int, int]]:
@@ -25,7 +27,7 @@ def minimal_rank_divisor(ctx: GenusContext, t: SheafType) -> tuple[int, tuple[in
     congruent to d modulo r, (d - 1) mod r + 1, whatever the genus.
     """
     if t.rank < 1:
-        raise InvalidType(f"minimal rank needs rank >= 1, got {t}")
+        raise DomainError(f"minimal rank needs rank >= 1, got {t}")
     require_genus_ge_2(ctx)
     r = t.rank
-    return hcf_of_type(t), (r, (t.degree - 1) % r + 1)
+    return math.gcd(r, t.degree), (r, (t.degree - 1) % r + 1)

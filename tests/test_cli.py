@@ -168,6 +168,19 @@ def test_type_that_is_not_a_sheaf_type_is_domain_error(capsys):
     assert "error: rank must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--t1", "0,1", "--t2", "1,0"], "scan needs positive ranks, got (0,1), (1,0)"),
+        (["--t1", "3,-2", "--t2", "2,1", "--bound", "-1"], "degree bound must be >= 0, got -1"),
+    ],
+)
+def test_scan_splittings_domain_errors(extra, message, capsys):
+    assert main(["scan-splittings", "-g", "2", *extra]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "out.txt"
     assert main(["reduce", "-g", "2", "-r", "2", "-d", "1", "--out", str(path)]) == 0

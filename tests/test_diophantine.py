@@ -7,13 +7,14 @@ from bunred import (
     BaseCaseReached,
     DomainError,
     GenusContext,
-    InvalidType,
     LemmaSolution,
     SheafType,
+    TheoremContradicted,
     euler_form,
     solve_lemma,
     solve_lemma_bruteforce,
 )
+from bunred import diophantine
 
 G2 = GenusContext(2)
 
@@ -60,10 +61,20 @@ def test_base_case_signal():
 
 
 def test_domain_errors():
-    with pytest.raises(InvalidType):
+    with pytest.raises(DomainError, match=r"reduction step needs rank >= 1, got \(0,3\)"):
         solve_lemma(G2, SheafType(0, 3))
     with pytest.raises(DomainError):
         solve_lemma(GenusContext(1), SheafType(2, 1))
+
+
+def test_oracle_reports_a_window_without_a_unique_solution(monkeypatch):
+    # a wrong hcf (1 instead of 2 for (4,2)) leaves the window (4, 8) with no
+    # integral dF: the oracle refuses rather than pick a solution
+    monkeypatch.setattr(diophantine, "_check_preconditions", lambda ctx, t: 1)
+    with pytest.raises(
+        TheoremContradicted, match=r"window scan for \(4,2\) found 0 solutions, expected exactly 1"
+    ):
+        solve_lemma_bruteforce(G2, SheafType(4, 2))
 
 
 def test_measure_strictly_decreases_on_grid():

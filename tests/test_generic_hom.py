@@ -10,7 +10,6 @@ from bunred import (
     GenusContext,
     HypothesisNotMet,
     MorphismKind,
-    NotCovered,
     SheafType,
     TheoremContradicted,
     euler_form,
@@ -33,7 +32,7 @@ def test_generic_hom_examples():
 
 
 def test_generic_hom_domain():
-    with pytest.raises(NotCovered):
+    with pytest.raises(DomainError, match=r"no prediction for rank-zero types: \(0,2\), \(1,1\)"):
         generic_hom(G2, SheafType(0, 2), SheafType(1, 1))
     with pytest.raises(DomainError):
         generic_hom(GenusContext(1), SheafType(1, 0), SheafType(1, 1))
@@ -60,6 +59,13 @@ def test_morphism_kind_examples():
     assert generic_morphism_kind(G2, SheafType(2, -3), SheafType(2, 1)) is MorphismKind.INJECTIVE
     with pytest.raises(HypothesisNotMet):
         generic_morphism_kind(G2, SheafType(2, 0), SheafType(2, 1))
+
+
+def test_morphism_kind_refuses_rank_zero():
+    with pytest.raises(
+        DomainError, match=r"morphism kind needs positive ranks, got \(0,1\), \(2,1\)"
+    ):
+        generic_morphism_kind(G2, SheafType(0, 1), SheafType(2, 1))
 
 
 def test_reduction_types_are_covered_and_surjective():
@@ -98,6 +104,13 @@ def test_scan_examples():
 def test_scan_hypothesis():
     with pytest.raises(HypothesisNotMet):
         no_bad_splitting_scan(G2, SheafType(1, 1), SheafType(1, 0), 10)
+
+
+def test_scan_domain():
+    with pytest.raises(DomainError, match=r"scan needs positive ranks, got \(0,1\), \(1,0\)"):
+        no_bad_splitting_scan(G2, SheafType(0, 1), SheafType(1, 0), 10)
+    with pytest.raises(DomainError, match="degree bound must be >= 0, got -1"):
+        no_bad_splitting_scan(G2, SheafType(3, -2), SheafType(2, 1), -1)
 
 
 def test_scan_randomized():

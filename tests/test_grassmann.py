@@ -4,7 +4,6 @@ from bunred import (
     DomainError,
     GenusContext,
     HeckeRoute,
-    InvalidArgument,
     SheafType,
     bun_stack_dim,
     parabolic_dim,
@@ -22,9 +21,9 @@ def test_parabolic_dim_examples():
 
 
 def test_parabolic_dim_domain():
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(DomainError, match="need 1 <= m <= r, got m=3, r=2"):
         parabolic_dim(G2, 2, 0, 3, HeckeRoute.HECKE1)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(DomainError, match="need 1 <= m <= r, got m=0, r=2"):
         parabolic_dim(G2, 2, 0, 0, HeckeRoute.HECKE2)
     with pytest.raises(DomainError):
         parabolic_dim(GenusContext(1), 2, 0, 1, HeckeRoute.HECKE1)

@@ -11,7 +11,6 @@ from bunred import (
     DegreeAffineMap,
     DomainError,
     GenusContext,
-    InvalidType,
     LemmaSolution,
     SheafType,
     dumps,
@@ -82,8 +81,16 @@ def test_golden_trace_genus3():
 def test_reduce_domain_errors():
     with pytest.raises(DomainError):
         reduce(GenusContext(1), SheafType(2, 1))
-    with pytest.raises(InvalidType):
+    with pytest.raises(DomainError, match=r"reduction needs rank >= 1, got \(0,3\)"):
         reduce(G2, SheafType(0, 3))
+
+
+def test_composite_is_unequal_to_other_classes():
+    root = reduce(G2, SheafType(2, 1)).root
+    assert root.__eq__(root.mu1) is NotImplemented
+    assert root.__eq__(5) is NotImplemented
+    assert root != root.mu1 and root.mu1 != root
+    assert root != 5
 
 
 def test_compose_det_examples():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bunred import (
-    InvalidType,
+    DomainError,
     SheafType,
     add_types,
     hcf_of_type,
@@ -17,9 +17,11 @@ def test_add_examples():
 
 
 def test_type_invariants():
-    with pytest.raises(InvalidType):
+    with pytest.raises(DomainError, match="rank must be >= 0, got -1"):
         SheafType(-1, 0)
-    with pytest.raises(InvalidType):
+    with pytest.raises(
+        DomainError, match="rank-zero types are torsion and need degree >= 0, got degree -2"
+    ):
         SheafType(0, -2)
     SheafType(0, 0)
     SheafType(0, 5)
@@ -29,7 +31,7 @@ def test_hcf_examples():
     assert hcf_of_type(SheafType(2, 1)) == 1
     assert hcf_of_type(SheafType(2, -6)) == 2
     assert hcf_of_type(SheafType(4, 0)) == 4
-    with pytest.raises(InvalidType):
+    with pytest.raises(DomainError, match=r"hcf needs rank >= 1, got \(0,3\)"):
         hcf_of_type(SheafType(0, 3))
 
 

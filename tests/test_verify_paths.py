@@ -9,8 +9,8 @@ from bunred import (
     CertificateInvalid,
     CompositeStep,
     DegreeAffineMap,
+    DomainError,
     GenusContext,
-    InvalidArgument,
     LemmaSolution,
     ReductionTrace,
     SheafType,
@@ -143,13 +143,13 @@ def test_subtree_targets():
 
 
 def test_affine_map_validates_sign():
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(DomainError, match=r"sign must be \+1 or -1, got 2"):
         DegreeAffineMap(2, 0)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(DomainError, match=r"sign must be \+1 or -1, got 0"):
         DegreeAffineMap(0, 5)
 
 
 def test_genus_context_validates():
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(DomainError, match="genus must be >= 0, got -1"):
         GenusContext(-1)
     GenusContext(0)

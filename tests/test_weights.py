@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bunred import DomainError, GenusContext, InvalidType, SheafType, minimal_rank_divisor
+from bunred import DomainError, GenusContext, SheafType, minimal_rank_divisor
 
 G2 = GenusContext(2)
 
@@ -14,7 +14,7 @@ def test_minimal_rank_divisor_examples():
 
 
 def test_minimal_rank_divisor_domain():
-    with pytest.raises(InvalidType):
+    with pytest.raises(DomainError, match=r"minimal rank needs rank >= 1, got \(0,3\)"):
         minimal_rank_divisor(G2, SheafType(0, 3))
     with pytest.raises(DomainError):
         minimal_rank_divisor(GenusContext(1), SheafType(2, 1))
