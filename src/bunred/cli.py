@@ -97,11 +97,12 @@ def format_trace_text(trace: ReductionTrace, report: VerificationReport | None) 
     )
     lines.append(f"  total affine dimension: {trace.total_affine_dim}")
     if report is not None:
-        if report.ok:
+        failed = report.failures()
+        if not failed:
             lines.append(f"certificate VALID ({len(report.checks)} checks)")
         else:
-            lines.append(f"certificate INVALID ({len(report.failures())} failed checks)")
-            for c in report.failures():
+            lines.append(f"certificate INVALID ({len(failed)} failed checks)")
+            for c in failed:
                 lines.append(f"  FAIL {c.path}: {c.name} {c.detail}")
     return "\n".join(lines) + "\n"
 
@@ -175,23 +176,22 @@ def _sweep_json(rows: list[tuple], all_valid: bool) -> str:
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     trace = load(args.file)
     report = verify_trace(trace, strict=False)
+    ok = report.ok
     if args.format == "json":
         doc = {
-            "valid": report.ok,
+            "valid": ok,
             "checks": [
                 {"path": c.path, "name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in report.checks
             ],
         }
-        return json.dumps(doc, indent=2) + "\n", report.ok
+        return json.dumps(doc, indent=2) + "\n", ok
     lines = []
     for c in report.checks:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.path}: {c.name}"
                      + (f" ({c.detail})" if c.detail and not c.passed else ""))
-    lines.append(
-        f"certificate {'VALID' if report.ok else 'INVALID'} ({len(report.checks)} checks)"
-    )
-    return "\n".join(lines) + "\n", report.ok
+    lines.append(f"certificate {'VALID' if ok else 'INVALID'} ({len(report.checks)} checks)")
+    return "\n".join(lines) + "\n", ok
 
 
 def _cmd_chi(args: argparse.Namespace) -> tuple[str, bool]:

@@ -35,6 +35,20 @@ it formats the detail only when it fails.  Both runners call each check
 once: verify_trace's records a row per check, and trace_ok's ends the pass
 at the first check that does not hold.
 
+A passing check compares plain ints: it builds no SheafType or
+DegreeAffineMap to compare what a node already holds.  Four checks state
+their rule through such objects (child_types, hom_bundle_rank,
+hecke_divisibility and composite_det), and each first runs a pre-test on
+the same fields.  The pre-test accepts only values whose class is exactly
+int (for composite_det, also a stored map whose class is exactly
+DegreeAffineMap), and only where the rule's expression provably returns "".
+It reads the fields in the order the expression reads them and tests class
+and sign before any comparison or arithmetic, so the only exception it can
+raise is the one the expression would raise first.  Otherwise the
+expression runs unchanged and gives the verdict and the detail.  So objects
+are built only on a check's failing branch (or for a value that is not a
+plain int), and every verdict and detail is the expression's.
+
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
 the node alive, so its id cannot be reused while the memo lives.  The nodes
@@ -335,6 +349,17 @@ def _total_affine_dim(tr: ReductionTrace) -> str:
 
 
 def _composite_det(tr: ReductionTrace) -> str:
+    sign, shift = _node_det_pair(tr.root)
+    if sign.__class__ is int and shift.__class__ is int and (sign == 1 or sign == -1):
+        m = tr.composite_det
+        if (
+            m.__class__ is DegreeAffineMap
+            and m.sign.__class__ is int
+            and m.shift.__class__ is int
+            and m.sign == sign
+            and m.shift == shift
+        ):
+            return ""
     recomputed = node_composite_det(tr.root)
     if tr.composite_det == recomputed:
         return ""
@@ -407,6 +432,65 @@ def _det_segments(ctx, n, s, r, d, h) -> str:
     return "stored determinant segments differ from the re-derived ones"
 
 
+def _hom_bundle_rank(ctx, n, s, r, d, h) -> str:
+    rk_v, r1, d1 = n.rkV, s.r1, s.d1
+    if r1.__class__ is int and d1.__class__ is int and r1 >= 1:
+        rF, dF = s.rF, s.dF
+        if (
+            rF.__class__ is int
+            and dF.__class__ is int
+            and rk_v.__class__ is int
+            and rF >= 1
+            and rk_v == (1 - ctx.genus) * r1 * rF + r1 * dF - rF * d1
+        ):
+            return ""
+    return (
+        ""
+        if n.rkV == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF))
+        else f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))"
+    )
+
+
+def _hecke_divisibility(ctx, n, s, r, d, h) -> str:
+    """The paper's divisibility condition for the Hecke Grassmannian over
+    (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
+    restates the paper and can fail only as "not evaluable" (h1 <= 0, when
+    (h1, -h) is not a sheaf type)."""
+    h1 = s.h1
+    if h1.__class__ is int and h1 >= 1:
+        return ""
+    return (
+        ""
+        if h % hcf_of_type(SheafType(s.h1, -h)) == 0
+        else f"hcf({s.h1},{h}) does not divide {h}"
+    )
+
+
+def _is_type(t, rank, degree) -> bool:
+    """Whether t is a SheafType of plain ints equal to SheafType(rank,
+    degree), for plain ints rank >= 1 and degree; False decides nothing."""
+    return (
+        t.__class__ is SheafType
+        and rank.__class__ is int
+        and degree.__class__ is int
+        and rank >= 1
+        and t.rank.__class__ is int
+        and t.degree.__class__ is int
+        and t.rank == rank
+        and t.degree == degree
+    )
+
+
+def _child_types(ctx, n, s, r, d, h) -> str:
+    if _is_type(n.mu1.t, s.r1, s.d1) and _is_type(n.mu2.t, s.h1, -h):
+        return ""
+    return (
+        ""
+        if n.mu1.t == SheafType(s.r1, s.d1) and n.mu2.t == SheafType(s.h1, -h)
+        else f"children are {n.mu1.t}, {n.mu2.t}; expected ({s.r1},{s.d1}), ({s.h1},{-h})"
+    )
+
+
 # Checks on (ctx, node, sol, r, d, h) of a composite step, sol its window
 # solution, (r, d) its type and h = hcf(r, d).
 _COMPOSITE_CHECKS = (
@@ -440,12 +524,7 @@ _COMPOSITE_CHECKS = (
         if s.r1 * h < r * s.h1
         else f"r1/h1 = {s.r1}/{s.h1} not < r/h = {r}/{h}",
     ),
-    (
-        "hom_bundle_rank",
-        lambda ctx, n, s, r, d, h: ""
-        if n.rkV == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF))
-        else f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))",
-    ),
+    ("hom_bundle_rank", _hom_bundle_rank),
     # The graph map goes from Gr_h of V = Hom(universal fibre over (r1,d1), F)
     # to Gr_h of the dual universal fibre W over (h1,0).  Both have weight -1
     # (0 - 1 and -(1)), whatever the types, so of the criterion "equal weights
@@ -456,16 +535,7 @@ _COMPOSITE_CHECKS = (
         if h <= s.h1 <= n.rkV
         else f"j={h}, rkW={s.h1}, rkV={n.rkV} with weights -1/-1 fails j <= rkW <= rkV",
     ),
-    # The paper's divisibility condition for the Hecke Grassmannian over
-    # (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
-    # restates the paper and can fail only as "not evaluable" (h1 <= 0, when
-    # (h1, -h) is not a sheaf type).
-    (
-        "hecke_divisibility",
-        lambda ctx, n, s, r, d, h: ""
-        if h % hcf_of_type(SheafType(s.h1, -h)) == 0
-        else f"hcf({s.h1},{h}) does not divide {h}",
-    ),
+    ("hecke_divisibility", _hecke_divisibility),
     (
         "dimension_identity",
         lambda ctx, n, s, r, d, h: ""
@@ -484,12 +554,7 @@ _COMPOSITE_CHECKS = (
         if n.hecke_affine == h * (s.h1 - h)
         else f"stored {n.hecke_affine}, expected {h}*({s.h1}-{h})",
     ),
-    (
-        "child_types",
-        lambda ctx, n, s, r, d, h: ""
-        if n.mu1.t == SheafType(s.r1, s.d1) and n.mu2.t == SheafType(s.h1, -h)
-        else f"children are {n.mu1.t}, {n.mu2.t}; expected ({s.r1},{s.d1}), ({s.h1},{-h})",
-    ),
+    ("child_types", _child_types),
     ("det_segments", _det_segments),
 )
 

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bunred import GenusContext, SheafType, dumps, reduce
-from bunred.cli import build_parser, main
+from bunred import GenusContext, SheafType, dumps, reduce, verify_trace
+from bunred.cli import build_parser, format_trace_text, main
 
 
 def test_solve_lemma_json(capsys):
@@ -146,3 +147,15 @@ def test_out_file_gets_the_bytes_stdout_would(argv, tmp_path, capsys):
     assert out.read_bytes() == stdout.encode("utf-8")
     assert stdout
     assert code == (1 if "bad.json" in argv[1] else 0)  # only the tampered document fails
+
+
+def test_trace_text_lists_each_failed_check_once():
+    trace = reduce(GenusContext(2), SheafType(2, 1))
+    bad = replace(trace, root=replace(trace.root, rkV=5))
+    text = format_trace_text(bad, verify_trace(bad, strict=False))
+    assert text.splitlines()[-4:] == [
+        "certificate INVALID (3 failed checks)",
+        "  FAIL root: hom_bundle_rank stored rkV=5 is not chi((r1,d1),(rF,dF))",
+        "  FAIL root: dimension_identity (g-1)r^2 = 4 != (g-1)r1^2 + h(rkV-h)",
+        "  FAIL root: rho_affine stored 3, expected 1*(5-1)",
+    ]
