@@ -11,8 +11,8 @@ class DomainError(BunredError):
     """The inputs or a result are outside the range the operation handles: a
     pair that is not a sheaf type, a rank-zero type where a positive rank is
     needed, a genus below 2, an argument outside the operation's stated
-    domain, a trace document for a tree deeper than serialize.MAX_TREE_DEPTH,
-    or an integer past Python's int-to-str limit."""
+    domain, a tree too deep to write as a trace document (see
+    serialize.MAX_TREE_DEPTH), or an integer past Python's int-to-str limit."""
 
 
 class HypothesisNotMet(BunredError):
@@ -41,7 +41,8 @@ class CertificateInvalid(BunredError):
 
 
 class ParseError(BunredError):
-    """A serialized trace document is malformed.
+    """A serialized trace document is malformed, or holds a tree too deep to
+    read (see serialize.MAX_TREE_DEPTH).
 
     The message always starts with the location (JSON path) of the problem.
     """

@@ -70,7 +70,8 @@ its children are built, so an error partway through leaves only complete
 subtrees in it.  Nothing bounds the depth of the tree reduce() builds: no
 walker of a tree in this package recurses (the serializer, the parser, the
 CLI's text writer and node equality all use explicit stacks).  Only a trace
-document has a depth ceiling, serialize.MAX_TREE_DEPTH, which dumps enforces.
+document has a depth ceiling, serialize.MAX_TREE_DEPTH, which dumps and loads
+both enforce; its comment gives the reason.
 """
 
 from __future__ import annotations

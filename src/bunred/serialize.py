@@ -29,10 +29,10 @@ consumers limited to 64-bit integers must keep inputs small enough that every
 field fits, which holds for any desk-scale genus/rank/degree.  Documents are
 read as UTF-8 only, from bytes and files alike.
 
-A document is the one place a tree's depth is bounded, because json.loads
-recurses: dumps refuses a tree deeper than MAX_TREE_DEPTH with a DomainError,
-and loads reports a document nested deeper than json.loads reads as a
-ParseError.  reduce, the verifier and text output take trees of any depth.
+A document is the one place a tree's depth is bounded: dumps refuses a tree
+deeper than MAX_TREE_DEPTH with a DomainError and loads with a ParseError.
+The comment at MAX_TREE_DEPTH gives the reason.  reduce, the verifier and
+text output take trees of any depth.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Any
 from .affine import DegreeAffineMap
 from .diophantine import LemmaSolution
 from .errors import BunredError, DomainError, ParseError
-from .reduction import BaseStep, CompositeStep, ReductionTrace, StepNode
+from .reduction import BaseStep, CompositeStep, ReductionTrace, StepNode, node_depth
 from .types import SheafType
 
 SCHEMA_VERSION = 1
@@ -227,15 +227,19 @@ def int_limit_error() -> DomainError:
     )
 
 
-# Deepest tree dumps writes.  Its reason is json.loads, which recurses once
-# per nesting level of a document and counts against the recursion limit:
-# the document of a tree this deep nests 942 levels (the document, one
-# object per tree level, and a determinant-map list and object below the
-# deepest composite), so it still loads at Python's default recursion limit
-# of 1,000 when called from up to about 50 frames deep.  A tree has about
-# 1.5 levels per decimal digit of the rank for a random degree and about 3.3
-# with degree -1, so this admits most ranks of up to about 600 digits, but
-# only about 280 with degree -1.
+# Deepest tree a trace document holds, read and written alike: dumps refuses
+# a deeper tree with a DomainError and loads with a ParseError, so how deep a
+# document may be does not depend on the interpreter.  Its reason is
+# json.loads, which recurses once per nesting level of a document: about
+# 1,000 levels on Python 3.10 and 3.11 (the recursion limit, shared with the
+# caller's frames), 1,500 on 3.12 and 10,000 on 3.13.  The document of a tree
+# this deep nests 942 levels (the document, one object per tree level, and a
+# determinant-map list and object below the deepest composite), so on 3.10
+# and 3.11 it still loads at the default recursion limit of 1,000 when called
+# from up to about 50 frames deep.  A tree has about 1.5 levels per decimal
+# digit of the rank for a random degree and about 3.3 with degree -1, so this
+# admits most ranks of up to about 600 digits, but only about 280 with
+# degree -1.
 MAX_TREE_DEPTH = 940
 
 
@@ -325,17 +329,27 @@ def dumps(trace: ReductionTrace, *, valid: bool | None = None) -> str:
 
 
 def loads(text: str | bytes) -> ReductionTrace:
-    """The trace of a document; bytes are read as UTF-8, as load reads files."""
+    """The trace of a document; bytes are read as UTF-8, as load reads files.
+
+    A tree deeper than MAX_TREE_DEPTH is refused as a ParseError, so loads
+    reads the trees dumps writes and no deeper ones (see MAX_TREE_DEPTH).
+    Two limits remain, both from json.loads: on Python 3.10 and 3.11 a
+    document of nearly MAX_TREE_DEPTH levels loads only from a shallow
+    stack, and nesting under keys the schema never reads is bounded only by
+    what json.loads reads.
+    """
     if isinstance(text, (bytes, bytearray)):
         text = _utf8(text)
     try:
-        return trace_from_dict(json.loads(text))
+        trace = trace_from_dict(json.loads(text))
+        if node_depth(trace.root) > MAX_TREE_DEPTH:
+            raise RecursionError
     except json.JSONDecodeError as exc:
         raise ParseError(f"$ (offset {exc.pos})", exc.msg) from exc
     except RecursionError:
         # from json.loads, the one reader that recurses (in C, once per
-        # nesting level): a document from outside can be nested deeper than
-        # any document dumps writes (MAX_TREE_DEPTH)
+        # nesting level), or from a tree deeper than dumps writes: one error
+        # for a document nested too deeply to read or to hold
         raise ParseError("$", "document nested too deeply") from None
     except ValueError:
         # from json.loads (trace_from_dict raises only ParseError): an integer
@@ -343,6 +357,7 @@ def loads(text: str | bytes) -> ReductionTrace:
         raise ParseError(
             "$", f"integer of more than {sys.get_int_max_str_digits()} digits"
         ) from None
+    return trace
 
 
 def _utf8(data: bytes | bytearray) -> str:

@@ -1,9 +1,11 @@
 """Exact integer domain types: sheaf types, genus context, basic arithmetic.
 
 All arithmetic in this package is on Python integers (arbitrary precision),
-so nothing overflows.  Two size ceilings remain.  `serialize.dumps` refuses
-a tree deeper than `serialize.MAX_TREE_DEPTH` with a DomainError, where the
-reason is given; `reduce`, the verifier and text output take any depth.
+so nothing overflows.  Two size ceilings remain.  A trace document holds a
+tree of at most `serialize.MAX_TREE_DEPTH` levels, whose comment gives the
+reason: `serialize.dumps` refuses a deeper tree with a DomainError and
+`serialize.loads` with a ParseError; `reduce`, the verifier and text output
+take any depth.
 Python's int-to-str limit (`sys.get_int_max_str_digits`, 4,300 digits by
 default) makes `serialize.dumps` raise a DomainError on a longer integer, and
 `serialize.loads` reports one as a ParseError; the CLI reports either as an

@@ -253,15 +253,18 @@ def _mu1_chain(depth):
             f'"root": {root}}}')
 
 
-# 20,000 levels: deeper than json.loads reads on any supported Python (about
-# 1,000 levels on 3.10 and 3.11, 1,500 on 3.12 and 10,000 on 3.13)
+# The 20,000-level cases are refused by json.loads itself, which reads about
+# 1,000 levels on 3.10 and 3.11, 1,500 on 3.12 and 10,000 on 3.13.  The
+# 941-level tree is one level past serialize.MAX_TREE_DEPTH: json.loads reads
+# it on every supported Python, and loads refuses it with the same error.
 @pytest.mark.parametrize(
     "text",
     [
         "[" * 20_000 + "]" * 20_000,
         _mu1_chain(20_000),
+        _mu1_chain(940),
     ],
-    ids=["array", "mu1_chain"],
+    ids=["array", "mu1_chain", "mu1_chain_941"],
 )
 def test_verify_deeply_nested_document_is_an_error(tmp_path, text):
     path = tmp_path / "deep.json"

@@ -161,9 +161,11 @@ def test_deep_chain_document_is_written_from_a_deep_stack(monkeypatch):
 
 
 def test_deep_chain_document_is_refused_by_json_loads():
-    # json.loads, the one recursive reader, is refused with a ParseError, not
-    # a RecursionError: 20,000 levels is deeper than it reads on any
-    # supported Python (3.13 reads about 10,000)
+    # json.loads's own limit, not the ceiling loads checks on the tree it
+    # returns (serialize.MAX_TREE_DEPTH): 20,000 levels is deeper than
+    # json.loads, the one recursive reader, reads on any supported Python
+    # (3.13 reads about 10,000), and its refusal is a ParseError, not a
+    # RecursionError
     with pytest.raises(ParseError, match="nested too deeply"):
         loads(_compact_chain_document(20_000))
 

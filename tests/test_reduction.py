@@ -12,6 +12,7 @@ from bunred import (
     DomainError,
     GenusContext,
     LemmaSolution,
+    ParseError,
     SheafType,
     dumps,
     loads,
@@ -257,10 +258,14 @@ def test_depth_bound_admits_a_tree_of_equal_depth(monkeypatch):
     depth = node_depth(trace.root)
     monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", depth)
     assert serialize.MAX_TREE_DEPTH == depth
-    assert loads(dumps(trace)) == trace
+    doc = dumps(trace)
+    assert loads(doc) == trace
+    # one level less: neither written nor read
     monkeypatch.setattr(serialize, "MAX_TREE_DEPTH", depth - 1)
     with pytest.raises(DomainError, match="^the reduction tree is deeper than the recursion"):
         dumps(trace)
+    with pytest.raises(ParseError, match=r"^\$: document nested too deeply$"):
+        loads(doc)
 
 
 def test_the_depth_bound_is_tested_after_the_base_test(monkeypatch):
