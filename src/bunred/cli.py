@@ -24,7 +24,7 @@ import sys
 from collections.abc import Sequence
 
 from .diophantine import solve_lemma
-from .errors import BaseCaseReached, BunredError
+from .errors import BaseCaseReached, BunredError, DomainError
 from .euler import euler_form
 from .generic_hom import generic_hom, generic_morphism_kind, no_bad_splitting_scan
 from .reduction import (
@@ -121,7 +121,7 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[str, bool]:
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, bool]:
     # empty ranges are allowed and sweep vacuously (exit 0, empty table)
     if any(g < 2 for g in args.genus):
-        raise BunredError("sweep genus values must be >= 2")
+        raise DomainError("sweep genus values must be >= 2")
     if args.traces_dir is not None:
         os.makedirs(args.traces_dir, exist_ok=True)
     # one (genus, rank, degree, h, n, depth, valid) tuple per case
@@ -189,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     lines = []
     for c in report.checks:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.path}: {c.name}"
-                     + (f" ({c.detail})" if c.detail and not c.passed else ""))
+                     + (f" ({c.detail})" if c.detail else ""))
     lines.append(f"certificate {'VALID' if ok else 'INVALID'} ({len(report.checks)} checks)")
     return "\n".join(lines) + "\n", ok
 

@@ -35,19 +35,15 @@ it formats the detail only when it fails.  Both runners call each check
 once: verify_trace's records a row per check, and trace_ok's ends the pass
 at the first check that does not hold.
 
-A passing check compares plain ints: it builds no SheafType or
-DegreeAffineMap to compare what a node already holds.  Four checks state
-their rule through such objects (child_types, hom_bundle_rank,
-hecke_divisibility and composite_det), and each first runs a pre-test on
-the same fields.  The pre-test accepts only values whose class is exactly
-int (for composite_det, also a stored map whose class is exactly
-DegreeAffineMap), and only where the rule's expression provably returns "".
-It reads the fields in the order the expression reads them and tests class
-and sign before any comparison or arithmetic, so the only exception it can
-raise is the one the expression would raise first.  Otherwise the
-expression runs unchanged and gives the verdict and the detail.  So objects
-are built only on a check's failing branch (or for a value that is not a
-plain int), and every verdict and detail is the expression's.
+Each check states its rule once, on the plain values a node holds, and
+the pass takes the genus as an int.  Where a rule is about sheaf types or
+determinant maps (child_types, hom_bundle_rank, hecke_divisibility and
+composite_det), the check makes the reads, validations (types.check_type,
+types.hcf), arithmetic and comparisons that the rule's expression through
+SheafType, euler_form or DegreeAffineMap would make, in the same order, so
+it gives the same verdict and detail and raises the same exception.  It
+builds an object only to format a failing detail, or to compare a value
+whose class is not exactly the one the rule names.
 
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
@@ -84,8 +80,7 @@ from typing import NamedTuple
 from .affine import DegreeAffineMap, _fold_det
 from .diophantine import LemmaSolution, solve_lemma
 from .errors import CertificateInvalid, DomainError
-from .euler import euler_form
-from .types import GenusContext, SheafType, hcf_of_type, require_genus_ge_2
+from .types import GenusContext, SheafType, check_type, hcf, hcf_of_type, require_genus_ge_2
 
 
 @dataclass(frozen=True)
@@ -351,20 +346,13 @@ def _total_affine_dim(tr: ReductionTrace) -> str:
 
 def _composite_det(tr: ReductionTrace) -> str:
     sign, shift = _node_det_pair(tr.root)
-    if sign.__class__ is int and shift.__class__ is int and (sign == 1 or sign == -1):
-        m = tr.composite_det
-        if (
-            m.__class__ is DegreeAffineMap
-            and m.sign.__class__ is int
-            and m.shift.__class__ is int
-            and m.sign == sign
-            and m.shift == shift
-        ):
-            return ""
-    recomputed = node_composite_det(tr.root)
-    if tr.composite_det == recomputed:
+    m = tr.composite_det
+    if m.__class__ is DegreeAffineMap and (m.sign, m.shift) == (sign, shift):
         return ""
-    return f"stored {tr.composite_det}, recomputed {recomputed}"
+    recomputed = DegreeAffineMap(sign, shift)
+    if m == recomputed:
+        return ""
+    return f"stored {m}, recomputed {recomputed}"
 
 
 def _det_sends_to_zero(tr: ReductionTrace) -> str:
@@ -412,7 +400,7 @@ _BASE_CHECKS = (
 )
 
 
-def _det_segments(ctx, n, s, r, d, h) -> str:
+def _det_segments(g, n, s, r, d, h) -> str:
     """n must store the segments [deg -> h*dF - deg, mu1's composite,
     deg -> deg - h, mu2's composite], compared as integer (sign, shift) pairs
     with no map built.
@@ -433,95 +421,72 @@ def _det_segments(ctx, n, s, r, d, h) -> str:
     return "stored determinant segments differ from the re-derived ones"
 
 
-def _hom_bundle_rank(ctx, n, s, r, d, h) -> str:
+def _hom_bundle_rank(g, n, s, r, d, h) -> str:
+    """rkV = chi((r1,d1),(rF,dF)), with euler_form's arithmetic."""
     rk_v, r1, d1 = n.rkV, s.r1, s.d1
-    if r1.__class__ is int and d1.__class__ is int and r1 >= 1:
-        rF, dF = s.rF, s.dF
-        if (
-            rF.__class__ is int
-            and dF.__class__ is int
-            and rk_v.__class__ is int
-            and rF >= 1
-            and rk_v == (1 - ctx.genus) * r1 * rF + r1 * dF - rF * d1
-        ):
-            return ""
-    return (
-        ""
-        if n.rkV == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF))
-        else f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))"
-    )
+    check_type(r1, d1)
+    rF, dF = s.rF, s.dF
+    check_type(rF, dF)
+    if rk_v == (1 - g) * r1 * rF + r1 * dF - rF * d1:
+        return ""
+    return f"stored rkV={rk_v} is not chi((r1,d1),(rF,dF))"
 
 
-def _hecke_divisibility(ctx, n, s, r, d, h) -> str:
+def _hecke_divisibility(g, n, s, r, d, h) -> str:
     """The paper's divisibility condition for the Hecke Grassmannian over
     (h1, -h): hcf(h1, h) divides h.  That is a tautology, so this check
     restates the paper and can fail only as "not evaluable" (h1 <= 0, when
     (h1, -h) is not a sheaf type)."""
     h1 = s.h1
-    if h1.__class__ is int and h1 >= 1:
-        return ""
-    return (
-        ""
-        if h % hcf_of_type(SheafType(s.h1, -h)) == 0
-        else f"hcf({s.h1},{h}) does not divide {h}"
-    )
+    check_type(h1, -h)
+    return "" if h % hcf(h1, -h) == 0 else f"hcf({h1},{h}) does not divide {h}"
 
 
-def _is_type(t, rank, degree) -> bool:
-    """Whether t is a SheafType of plain ints equal to SheafType(rank,
-    degree), for plain ints rank >= 1 and degree; False decides nothing."""
-    return (
-        t.__class__ is SheafType
-        and rank.__class__ is int
-        and degree.__class__ is int
-        and rank >= 1
-        and t.rank.__class__ is int
-        and t.degree.__class__ is int
-        and t.rank == rank
-        and t.degree == degree
-    )
+def _is_type(t, rank, degree):
+    """t == SheafType(rank, degree), building the type only to compare a t
+    whose class is not exactly SheafType."""
+    check_type(rank, degree)
+    if t.__class__ is SheafType:
+        return (t.rank, t.degree) == (rank, degree)
+    return t == SheafType(rank, degree)
 
 
-def _child_types(ctx, n, s, r, d, h) -> str:
+def _child_types(g, n, s, r, d, h) -> str:
     if _is_type(n.mu1.t, s.r1, s.d1) and _is_type(n.mu2.t, s.h1, -h):
         return ""
-    return (
-        ""
-        if n.mu1.t == SheafType(s.r1, s.d1) and n.mu2.t == SheafType(s.h1, -h)
-        else f"children are {n.mu1.t}, {n.mu2.t}; expected ({s.r1},{s.d1}), ({s.h1},{-h})"
-    )
+    return f"children are {n.mu1.t}, {n.mu2.t}; expected ({s.r1},{s.d1}), ({s.h1},{-h})"
 
 
-# Checks on (ctx, node, sol, r, d, h) of a composite step, sol its window
-# solution, (r, d) its type and h = hcf(r, d).
+# Checks on (g, node, sol, r, d, h) of a composite step, g the genus, sol its
+# window solution, (r, d) its type and h = hcf(r, d).
 _COMPOSITE_CHECKS = (
     (
         "euler_equation",
-        lambda ctx, n, s, r, d, h: ""
-        if (1 - ctx.genus) * s.rF * r + s.rF * d - r * s.dF == h
+        lambda g, n, s, r, d, h: ""
+        if (1 - g) * s.rF * r + s.rF * d - r * s.dF == h
         else f"(1-g)*{s.rF}*{r} + {s.rF}*{d} - {r}*{s.dF} != {h}",
     ),
     (
         "rank_window",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if r < h * s.rF < 2 * r
         else f"h*rF = {h * s.rF} outside ({r}, {2 * r})",
     ),
     (
         "reduced_type",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if s.r1 == h * s.rF - r and s.d1 == h * s.dF - d
         else f"stored (r1,d1)=({s.r1},{s.d1}), expected ({h * s.rF - r},{h * s.dF - d})",
     ),
     (
         "solution_hcf",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if s.h == h and s.h1 == math.gcd(s.r1, s.d1) and s.h1 % h == 0
         else f"stored h={s.h}, h1={s.h1}; recomputed h={h}, h1={math.gcd(s.r1, s.d1)}",
     ),
     (
         "measure_decrease",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if s.r1 * h < r * s.h1
         else f"r1/h1 = {s.r1}/{s.h1} not < r/h = {r}/{h}",
     ),
@@ -532,26 +497,26 @@ _COMPOSITE_CHECKS = (
     # and j <= rk W <= rk V" only the rank chain is left to check.
     (
         "graph_map_precondition",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if h <= s.h1 <= n.rkV
         else f"j={h}, rkW={s.h1}, rkV={n.rkV} with weights -1/-1 fails j <= rkW <= rkV",
     ),
     ("hecke_divisibility", _hecke_divisibility),
     (
         "dimension_identity",
-        lambda ctx, n, s, r, d, h: ""
-        if (ctx.genus - 1) * r**2 == (ctx.genus - 1) * s.r1**2 + h * (n.rkV - h)
-        else f"(g-1)r^2 = {(ctx.genus - 1) * r**2} != (g-1)r1^2 + h(rkV-h)",
+        lambda g, n, s, r, d, h: ""
+        if (g - 1) * r**2 == (g - 1) * s.r1**2 + h * (n.rkV - h)
+        else f"(g-1)r^2 = {(g - 1) * r**2} != (g-1)r1^2 + h(rkV-h)",
     ),
     (
         "rho_affine",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if n.rho_affine == h * (n.rkV - s.h1)
         else f"stored {n.rho_affine}, expected {h}*({n.rkV}-{s.h1})",
     ),
     (
         "hecke_affine",
-        lambda ctx, n, s, r, d, h: ""
+        lambda g, n, s, r, d, h: ""
         if n.hecke_affine == h * (s.h1 - h)
         else f"stored {n.hecke_affine}, expected {h}*({s.h1}-{h})",
     ),
@@ -649,7 +614,6 @@ def _check_trace(
         return walked
     run("trace", _TRACE_HEAD_CHECKS, (trace,))
     g = trace.genus
-    ctx = GenusContext(g)
     stack = [(trace.root, "root")]
     while stack:
         node, path = stack.pop()
@@ -664,7 +628,7 @@ def _check_trace(
         if isinstance(node, BaseStep):
             run(path, _BASE_CHECKS, (node, r, d, h))
             continue
-        run(path, _COMPOSITE_CHECKS, (ctx, node, node.sol, r, d, h))
+        run(path, _COMPOSITE_CHECKS, (g, node, node.sol, r, d, h))
         stack.append((node.mu2, path + ".mu2"))
         stack.append((node.mu1, path + ".mu1"))
     run("trace", _TRACE_TAIL_CHECKS, (trace,))

@@ -28,15 +28,20 @@ class SheafType:
     degree: int
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise DomainError(f"rank must be >= 0, got {self.rank}")
-        if self.rank == 0 and self.degree < 0:
-            raise DomainError(
-                f"rank-zero types are torsion and need degree >= 0, got degree {self.degree}"
-            )
+        check_type(self.rank, self.degree)
 
     def __str__(self) -> str:
         return f"({self.rank},{self.degree})"
+
+
+def check_type(rank: int, degree: int) -> None:
+    """Raise the DomainError SheafType(rank, degree) raises, if it raises one."""
+    if rank < 0:
+        raise DomainError(f"rank must be >= 0, got {rank}")
+    if rank == 0 and degree < 0:
+        raise DomainError(
+            f"rank-zero types are torsion and need degree >= 0, got degree {degree}"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,16 @@ def add_types(a: SheafType, b: SheafType) -> SheafType:
 
 
 def hcf_of_type(t: SheafType) -> int:
+    """hcf(t.rank, t.degree)."""
+    return hcf(t.rank, t.degree)
+
+
+def hcf(rank: int, degree: int) -> int:
     """Positive highest common factor of rank and degree.
 
     Convention: hcf(r, d) = hcf(r, -d) > 0, and hcf(r, 0) = r. Requires
     rank >= 1.
     """
-    if t.rank < 1:
-        raise DomainError(f"hcf needs rank >= 1, got {t}")
-    return math.gcd(t.rank, t.degree)
+    if rank < 1:
+        raise DomainError(f"hcf needs rank >= 1, got ({rank},{degree})")
+    return math.gcd(rank, degree)

@@ -1,11 +1,13 @@
-"""The plain-int pre-tests of four checks decide only what their rules decide.
+"""Four checks, each stated once on plain values, decide what their rules decide.
 
-child_types, hom_bundle_rank, hecke_divisibility and composite_det each run
-a pre-test on plain ints before the expression that states their rule.  The
-expressions, as the checks were before the pre-tests, are kept here as
-oracles.  Each live check is called through the verifier's own pass, and on
-the same arguments it must return the same str as its oracle, or raise an
-exception of the same class with the same text, on:
+child_types, hom_bundle_rank, hecke_divisibility and composite_det state
+their rules on the plain values a node holds, where the rules are about
+sheaf types and determinant maps.  The rules' expressions through
+SheafType, euler_form and DegreeAffineMap are kept here as oracles, which
+receive the genus as an int, as the checks do.  Each live check is called
+through the verifier's own pass, and on the same arguments it must return
+the same str as its oracle, or raise an exception of the same class with
+the same text, on:
 
 - every certificate of the grid genus 2..3, rank <= 6, |degree| <= 6 and
   every +-1 change of one of its integers;
@@ -28,15 +30,15 @@ from bunred.reduction import node_composite_det
 from bunred.types import hcf_of_type
 
 
-def _oracle_hom_bundle_rank(ctx, n, s, r, d, h):
+def _oracle_hom_bundle_rank(g, n, s, r, d, h):
     return (
         ""
-        if n.rkV == euler_form(ctx, SheafType(s.r1, s.d1), SheafType(s.rF, s.dF))
+        if n.rkV == euler_form(GenusContext(g), SheafType(s.r1, s.d1), SheafType(s.rF, s.dF))
         else f"stored rkV={n.rkV} is not chi((r1,d1),(rF,dF))"
     )
 
 
-def _oracle_hecke_divisibility(ctx, n, s, r, d, h):
+def _oracle_hecke_divisibility(g, n, s, r, d, h):
     return (
         ""
         if h % hcf_of_type(SheafType(s.h1, -h)) == 0
@@ -44,7 +46,7 @@ def _oracle_hecke_divisibility(ctx, n, s, r, d, h):
     )
 
 
-def _oracle_child_types(ctx, n, s, r, d, h):
+def _oracle_child_types(g, n, s, r, d, h):
     return (
         ""
         if n.mu1.t == SheafType(s.r1, s.d1) and n.mu2.t == SheafType(s.h1, -h)
@@ -141,7 +143,7 @@ WRONG_KINDS = [True, 2.0, None, "x", 0, -1, _Int(1)]
 
 def _sol_edits(trace):
     """The trace with the root's rkV, and each field of its window solution
-    that the pre-tests read, set to each wrong kind and to its own value as
+    that the checks read, set to each wrong kind and to its own value as
     a float and as an int subclass."""
     root = trace.root
     for value in WRONG_KINDS + [float(root.rkV), _Int(root.rkV)]:

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from bunred import (
+    DomainError,
     GenusContext,
     SheafType,
+    cli,
     dumps,
     reduce,
     trace_from_dict,
@@ -224,8 +226,11 @@ def test_sweep_bad_range_is_usage_error(bad, capsys):
 
 def test_sweep_low_genus_is_domain_error(capsys):
     # checked before the loop, so an empty rank range still reports it
-    assert main(["sweep", "--genus", "1", "--max-rank", "0", "--degree-range=0..0"]) == 1
+    argv = ["sweep", "--genus", "1", "--max-rank", "0", "--degree-range=0..0"]
+    assert main(argv) == 1
     assert "sweep genus values must be >= 2" in capsys.readouterr().err
+    with pytest.raises(DomainError, match="sweep genus values must be >= 2"):
+        cli._cmd_sweep(cli._parse_args(argv))
 
 
 def _run_module(*argv):

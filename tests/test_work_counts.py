@@ -1,4 +1,4 @@
-"""Exact work counts of one sweep, pinned so that lost sharing shows without a clock.
+"""Exact work counts of fixed CLI runs, pinned so that lost sharing shows without a clock.
 
 The sweep is the 900-case grid genus 2..4, rank <= 12, |degree| <= 12, run
 through the CLI, which shares one table of built types and one trace_ok memo
@@ -10,13 +10,20 @@ per genus.  Counters are monkeypatched around the calls being counted:
   built types per case builds 1,424 and 1,957);
 - the verifier's pass walks 1,259 nodes, against 3,381 when every case is
   checked again with a fresh memo;
-- trace_ok builds one GenusContext per trace and no SheafType or
-  DegreeAffineMap: a passing check compares plain ints.
+- trace_ok builds no SheafType, DegreeAffineMap or GenusContext: each check
+  states its rule on plain values and takes the genus as an int.
+
+The big-rank path is `reduce --format json` on the three 300-digit types of
+test_reduce_golden, one per genus 2..4, each with its own table and memo:
+2,649 solve_lemma calls and CompositeStep nodes, 1,490 BaseStep nodes and
+4,139 nodes walked, and again no object built by trace_ok.
 
 A count that changes on purpose is pinned again with a reason.
 """
 
 from collections import Counter
+
+from test_reduce_golden import _seeded_type
 
 from bunred import (
     BaseStep,
@@ -29,9 +36,15 @@ from bunred import (
 )
 
 SWEEP = ["sweep", "--genus", "2..4", "--max-rank", "12", "--degree-range=-12..12"]
+NAMES = (
+    "solve_lemma", "CompositeStep", "BaseStep", "walked",
+    "SheafType", "DegreeAffineMap", "GenusContext",
+)
 
 
-def test_sweep_grid_work_counts(monkeypatch, capsys):
+def _count_work(monkeypatch):
+    """Install the counters; return the Counter they add to and the list of
+    traces passed to cli.trace_ok."""
     counts = Counter()
     traces = []
     in_reduce = []
@@ -88,24 +101,45 @@ def test_sweep_grid_work_counts(monkeypatch, capsys):
         monkeypatch.setattr(cls, "__init__", counting(cls, in_trace_ok))
     for cls in (CompositeStep, BaseStep):
         monkeypatch.setattr(cls, "__init__", counting(cls, in_reduce))
+    return counts, traces
 
+
+def test_sweep_grid_work_counts(monkeypatch, capsys):
+    """GenusContext was 900, one per trace, while the composite checks took
+    a GenusContext; they take the genus as an int, so it is 0."""
+    counts, traces = _count_work(monkeypatch)
     assert cli.main(SWEEP) == 0
     assert capsys.readouterr().out.endswith("\n900 cases, 900 valid\n")
     assert len(traces) == 900
-    names = (
-        "solve_lemma", "CompositeStep", "BaseStep", "walked",
-        "SheafType", "DegreeAffineMap", "GenusContext",
-    )
-    assert {name: counts[name] for name in names} == {
+    assert {name: counts[name] for name in NAMES} == {
         "solve_lemma": 853,
         "CompositeStep": 853,
         "BaseStep": 406,
         "walked": 1259,
         "SheafType": 0,
         "DegreeAffineMap": 0,
-        "GenusContext": 900,
+        "GenusContext": 0,
     }
 
     counts.clear()
     assert all(reduction.trace_ok(trace, {}) for trace in traces)
     assert counts["walked"] == 3381
+
+
+def test_bigint_reduce_work_counts(monkeypatch, capsys):
+    counts, traces = _count_work(monkeypatch)
+    for g in range(2, 5):
+        rank, degree = _seeded_type(300, g)
+        args = ["reduce", "-g", str(g), "-r", str(rank), "-d", str(degree), "--format", "json"]
+        assert cli.main(args) == 0
+    capsys.readouterr()
+    assert len(traces) == 3
+    assert {name: counts[name] for name in NAMES} == {
+        "solve_lemma": 2649,
+        "CompositeStep": 2649,
+        "BaseStep": 1490,
+        "walked": 4139,
+        "SheafType": 0,
+        "DegreeAffineMap": 0,
+        "GenusContext": 0,
+    }
