@@ -36,14 +36,16 @@ once: verify_trace's records a row per check, and trace_ok's ends the pass
 at the first check that does not hold.
 
 Each check states its rule once, on the plain values a node holds, and
-the pass takes the genus as an int.  Where a rule is about sheaf types or
-determinant maps (child_types, hom_bundle_rank, hecke_divisibility and
-composite_det), the check makes the reads, validations (types.check_type,
-types.hcf), arithmetic and comparisons that the rule's expression through
-SheafType, euler_form or DegreeAffineMap would make, in the same order, so
-it gives the same verdict and detail and raises the same exception.  It
-builds an object only to format a failing detail, or to compare a value
-whose class is not exactly the one the rule names.
+the pass takes the genus as an int.  One rule covers every stored sheaf
+type and determinant map (root_type, child_types, composite_det and
+det_segments): it matches only if its class is exactly SheafType or
+DegreeAffineMap and its fields equal the re-derived ones, so an object of
+any other class fails the check whatever its __eq__ says.  Stored ints are
+compared by value.  Where a rule is about sheaf types (child_types,
+hom_bundle_rank, hecke_divisibility), the check makes the validations
+(types.check_type, types.hcf) and arithmetic that building SheafType or
+calling euler_form would make, in the same order, so it raises the same
+exception.  A check builds an object only to format a failing detail.
 
 trace_ok's memo, a dict the caller creates and passes, maps (genus,
 id(node)) to the node: the pass skips a node in the memo, and the memo keeps
@@ -331,7 +333,8 @@ _TRACE_HEAD_CHECKS = (
     ),
     (
         "root_type",
-        lambda tr: "" if tr.root.t == tr.input else f"root type {tr.root.t} != input {tr.input}",
+        lambda tr: "" if tr.root.t.__class__ is tr.input.__class__ is SheafType
+        and tr.root.t == tr.input else f"root type {tr.root.t} != input {tr.input}",
     ),
 )
 
@@ -349,10 +352,7 @@ def _composite_det(tr: ReductionTrace) -> str:
     m = tr.composite_det
     if m.__class__ is DegreeAffineMap and (m.sign, m.shift) == (sign, shift):
         return ""
-    recomputed = DegreeAffineMap(sign, shift)
-    if m == recomputed:
-        return ""
-    return f"stored {m}, recomputed {recomputed}"
+    return f"stored {m}, recomputed {DegreeAffineMap(sign, shift)}"
 
 
 def _det_sends_to_zero(tr: ReductionTrace) -> str:
@@ -443,12 +443,11 @@ def _hecke_divisibility(g, n, s, r, d, h) -> str:
 
 
 def _is_type(t, rank, degree):
-    """t == SheafType(rank, degree), building the type only to compare a t
-    whose class is not exactly SheafType."""
+    """Whether t is the sheaf type (rank, degree): of class exactly SheafType
+    with those fields.  (rank, degree) must be a sheaf type, or the check is
+    not evaluable."""
     check_type(rank, degree)
-    if t.__class__ is SheafType:
-        return (t.rank, t.degree) == (rank, degree)
-    return t == SheafType(rank, degree)
+    return t.__class__ is SheafType and (t.rank, t.degree) == (rank, degree)
 
 
 def _child_types(g, n, s, r, d, h) -> str:

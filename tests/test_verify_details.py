@@ -204,6 +204,57 @@ def test_det_maps_that_are_not_a_tuple_of_four_maps_differ(det_maps, root_detail
     assert not trace_ok(trace, {})
 
 
+class _LookAlike:
+    """Holds the fields of a real type or map and claims to equal anything."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = object.__hash__
+
+    def __repr__(self):
+        return "look-alike"
+
+    __str__ = __repr__
+
+
+COMPOSITE = TRACE.composite_det
+
+
+@pytest.mark.parametrize(
+    "trace,expected",
+    [
+        (
+            _root(mu1=replace(ROOT.mu1, t=_LookAlike(rank=1, degree=-3))),
+            ("root", "child_types", "children are look-alike, (1,-1); expected (1,-3), (1,-1)"),
+        ),
+        (
+            _root(t=_LookAlike(rank=2, degree=1)),
+            ("trace", "root_type", "root type look-alike != input (2,1)"),
+        ),
+        (
+            replace(TRACE, composite_det=_LookAlike(sign=COMPOSITE.sign, shift=COMPOSITE.shift)),
+            (
+                "trace",
+                "composite_det",
+                "stored look-alike, recomputed DegreeAffineMap(sign=-1, shift=1)",
+            ),
+        ),
+    ],
+    ids=["child_type", "root_type", "composite_det"],
+)
+def test_a_look_alike_that_claims_equality_fails(trace, expected):
+    """A stored sheaf type or determinant map matches only if its class is
+    exactly SheafType or DegreeAffineMap: an object of another class with
+    the real fields fails its one check, whatever its __eq__ says."""
+    failures = [(c.path, c.name, c.detail) for c in verify_trace(trace, strict=False).failures()]
+    assert failures == [expected]
+    _fails_everywhere(trace)
+
+
 # In-memory tamperings that put a value of the wrong kind where the tail
 # checks or a node's type domain read it, and the exact set of checks each
 # fails: these values are computed inside the runner.

@@ -18,6 +18,13 @@ test_reduce_golden, one per genus 2..4, each with its own table and memo:
 2,649 solve_lemma calls and CompositeStep nodes, 1,490 BaseStep nodes and
 4,139 nodes walked, and again no object built by trace_ok.
 
+The read side is `verify FILE` on the documents of the three 100-digit
+types of test_reduce_golden, one per genus 2..4.  While cli.load reads them
+it builds 845 CompositeStep, 848 BaseStep and 845 LemmaSolution, one per
+node, and 2,541 SheafType and 3,383 DegreeAffineMap; it calls node_depth
+once per document.  The verifier's pass walks the 1,693 nodes and reports
+14,395 rows (4,141, 5,348 and 4,906 checks).
+
 A count that changes on purpose is pinned again with a reason.
 """
 
@@ -30,9 +37,13 @@ from bunred import (
     CompositeStep,
     DegreeAffineMap,
     GenusContext,
+    LemmaSolution,
     SheafType,
     cli,
+    dumps,
+    reduce,
     reduction,
+    serialize,
 )
 
 SWEEP = ["sweep", "--genus", "2..4", "--max-rank", "12", "--degree-range=-12..12"]
@@ -40,6 +51,30 @@ NAMES = (
     "solve_lemma", "CompositeStep", "BaseStep", "walked",
     "SheafType", "DegreeAffineMap", "GenusContext",
 )
+
+
+def _counting(counts, cls, inside):
+    """cls.__init__, counting the objects made while inside is not empty."""
+    real_init = cls.__init__
+
+    def init(self, *args, **kwargs):
+        if inside:
+            counts[cls.__name__] += 1
+        real_init(self, *args, **kwargs)
+
+    return init
+
+
+def _count_walked(monkeypatch, counts):
+    """Count the nodes each pass of the verifier walks as counts["walked"]."""
+    real_check_trace = reduction._check_trace
+
+    def check_trace(trace, run, verified):
+        walked = real_check_trace(trace, run, verified)
+        counts["walked"] += len(walked)
+        return walked
+
+    monkeypatch.setattr(reduction, "_check_trace", check_trace)
 
 
 def _count_work(monkeypatch):
@@ -55,13 +90,6 @@ def _count_work(monkeypatch):
     def solve_lemma(ctx, t):
         counts["solve_lemma"] += 1
         return real_solve(ctx, t)
-
-    real_check_trace = reduction._check_trace
-
-    def check_trace(trace, run, verified):
-        walked = real_check_trace(trace, run, verified)
-        counts["walked"] += len(walked)
-        return walked
 
     real_reduce = cli.reduce
 
@@ -82,25 +110,14 @@ def _count_work(monkeypatch):
         finally:
             in_trace_ok.pop()
 
-    def counting(cls, inside):
-        """cls.__init__, counting the objects made while inside is not empty."""
-        real_init = cls.__init__
-
-        def init(self, *args, **kwargs):
-            if inside:
-                counts[cls.__name__] += 1
-            real_init(self, *args, **kwargs)
-
-        return init
-
     monkeypatch.setattr(reduction, "solve_lemma", solve_lemma)
-    monkeypatch.setattr(reduction, "_check_trace", check_trace)
+    _count_walked(monkeypatch, counts)
     monkeypatch.setattr(cli, "reduce", reduce)
     monkeypatch.setattr(cli, "trace_ok", trace_ok)
     for cls in (SheafType, DegreeAffineMap, GenusContext):
-        monkeypatch.setattr(cls, "__init__", counting(cls, in_trace_ok))
+        monkeypatch.setattr(cls, "__init__", _counting(counts, cls, in_trace_ok))
     for cls in (CompositeStep, BaseStep):
-        monkeypatch.setattr(cls, "__init__", counting(cls, in_reduce))
+        monkeypatch.setattr(cls, "__init__", _counting(counts, cls, in_reduce))
     return counts, traces
 
 
@@ -142,4 +159,55 @@ def test_bigint_reduce_work_counts(monkeypatch, capsys):
         "SheafType": 0,
         "DegreeAffineMap": 0,
         "GenusContext": 0,
+    }
+
+
+def test_verify_work_counts(monkeypatch, capsys, tmp_path):
+    paths = []
+    for g in range(2, 5):
+        path = tmp_path / f"g{g}.json"
+        path.write_text(dumps(reduce(GenusContext(g), SheafType(*_seeded_type(100, g)))))
+        paths.append(str(path))
+
+    counts = Counter()
+    in_load = []
+    real_load = cli.load
+
+    def load(path):
+        in_load.append(path)
+        try:
+            return real_load(path)
+        finally:
+            in_load.pop()
+
+    real_node_depth = serialize.node_depth
+
+    def node_depth(node):
+        counts["node_depth"] += 1
+        return real_node_depth(node)
+
+    monkeypatch.setattr(cli, "load", load)
+    monkeypatch.setattr(serialize, "node_depth", node_depth)
+    _count_walked(monkeypatch, counts)
+    for cls in (CompositeStep, BaseStep, LemmaSolution, SheafType, DegreeAffineMap):
+        monkeypatch.setattr(cls, "__init__", _counting(counts, cls, in_load))
+
+    # a verdict counts the report's rows: 14,395 in all
+    verdicts = []
+    for path in paths:
+        assert cli.main(["verify", path]) == 0
+        verdicts.append(capsys.readouterr().out.splitlines()[-1])
+    assert verdicts == [
+        "certificate VALID (4141 checks)",
+        "certificate VALID (5348 checks)",
+        "certificate VALID (4906 checks)",
+    ]
+    assert dict(counts) == {
+        "CompositeStep": 845,
+        "BaseStep": 848,
+        "LemmaSolution": 845,
+        "SheafType": 2541,
+        "DegreeAffineMap": 3383,
+        "node_depth": 3,
+        "walked": 1693,
     }
