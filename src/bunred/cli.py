@@ -358,6 +358,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {int_limit_error()}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,11 +84,23 @@ def no_bad_splitting_scan(
     value, and the strict slope chain dK/rK < d1/r1 < d/r < d2/r2 (< dQ/rQ
     when rQ >= 1).  Cross-multiplied, dK/rK < d1/r1 is the same inequality
     as d1/r1 < d/r, and d2/r2 < dQ/rQ the same as d/r < d2/r2, which for
-    rQ = 0 already forces dQ >= 1 (a nonzero torsion tQ).  So the splittings
-    are exactly 1 <= r <= min(r1 - 1, r2) with d in the closed-form interval
+    rQ = 0 already forces dQ >= 1 (a nonzero torsion tQ).  The three degree
+    bounds on d, dK = d1 - d and dQ = d2 - d give a window that does not
+    depend on r,
 
-        max(floor(d1*r/r1) + 1, -b, d1 - b, d2 - b)
-            <= d <= min(ceil(d2*r/r2) - 1, b, d1 + b, d2 + b).
+        L = max(-b, d1 - b, d2 - b),    H = min(b, d1 + b, d2 + b),
+
+    so the splittings are exactly 1 <= r <= min(r1 - 1, r2) with d in
+
+        [L, H] clipped to floor(d1*r/r1) < d < ceil(d2*r/r2).
+
+    An empty window (L > H) leaves no splitting, and the scan returns before
+    the middle-rank loop.  A non-empty one bounds that loop by b, not by the
+    ranks' values:
+      1. L <= H forces |d1| <= 2b and |d2| <= 2b;
+      2. chi(t1, t2) >= 0 is (g-1)*r1*r2 <= r1*d2 - r2*d1 <= 2b*(r1 + r2);
+      3. dividing by max(r1, r2), (g-1)*min(r1, r2) <= 4b, so there are
+         at most floor(4b/(g-1)) middle ranks.
 
     Each splitting is also checked against the cross-multiplied chain
     consequence chi(tK,tQ)*r1*r2 > chi(t1,t2)*rK*rQ.
@@ -119,8 +131,7 @@ def no_bad_splitting_scan(
     if chi_12 < 0:
         raise HypothesisNotMet(f"chi({t1},{t2}) = {chi_12} < 0")
 
-    r1, d1 = t1.rank, t1.degree
-    r2, d2 = t2.rank, t2.degree
+    (r1, d1), (r2, d2) = (t1.rank, t1.degree), (t2.rank, t2.degree)
 
     def fault(r: int, d: int) -> str | None:
         """What fails for the splitting with middle type (r, d): chi(tK, tQ)
@@ -137,10 +148,13 @@ def no_bad_splitting_scan(
         return None
 
     b = degree_bound
+    L, H = max(-b, d1 - b, d2 - b), min(b, d1 + b, d2 + b)
+    if L > H:
+        return SplittingScanReport(examined=0, violations=0)
     examined = 0
     for r in range(1, min(r1 - 1, r2) + 1):
-        lo = max(d1 * r // r1 + 1, -b, d1 - b, d2 - b)
-        hi = min(-(-d2 * r // r2) - 1, b, d1 + b, d2 + b)
+        lo = max(d1 * r // r1 + 1, L)
+        hi = min(-(-d2 * r // r2) - 1, H)
         if lo > hi:
             continue
         examined += hi - lo + 1

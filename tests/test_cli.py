@@ -233,14 +233,15 @@ def test_sweep_low_genus_is_domain_error(capsys):
         cli._cmd_sweep(cli._parse_args(argv))
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=None):
     """`python -m bunred ARGV` in a subprocess, so an escaping exception shows
-    as a traceback on stderr."""
+    as a traceback on stderr; `timeout` seconds as in subprocess.run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", "bunred", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "bunred", *argv], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
 
 

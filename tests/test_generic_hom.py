@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from test_cli import _run_module
 
 from bunred import (
     DomainError,
@@ -292,3 +293,69 @@ def test_scan_names_the_first_failing_splitting(fault, monkeypatch):
     with pytest.raises(TheoremContradicted) as scan:
         no_bad_splitting_scan(G2, t1, t2, 20)
     assert str(scan.value) == str(each_degree.value) == message
+
+
+def test_scan_of_an_empty_window_exits_at_once_on_13_digit_ranks():
+    # |d1| = |d2| = 10^12 > 2 * 20, so no degree is within 20 of d, d1 and d2
+    # at once; a loop over the 10^12 middle ranks would never end in time
+    big = 10**12
+    proc = _run_module("scan-splittings", "-g", "2", "--t1", f"{big},{-big}",
+                       "--t2", f"{big},{big}", "--bound", "20", timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"scan(({big},{-big}), ({big},{big}); g=2, bound=20): "
+        "0 splittings examined, 0 violations\n"
+    )
+
+
+def _big_rank_pairs(rng, count):
+    """`count` (ctx, t1, t2, bound) with genus 2..6, ranks up to 10^6 (of
+    1 to 7 digits alike), bound 0..2,000 and chi(t1, t2) >= 0.  Half the
+    draws keep both degrees within 2 * bound + 1, so empty and non-empty
+    windows both occur."""
+    pairs = []
+    while len(pairs) < count:
+        ctx = GenusContext(rng.randint(2, 6))
+        bound = rng.randint(0, 2000)
+        top = rng.choice((2 * bound + 1, 10**6))
+        t1, t2 = (
+            SheafType(rng.randint(1, 10 ** rng.randint(0, 6)), rng.randint(-top, top))
+            for _ in range(2)
+        )
+        if euler_form(ctx, t1, t2) >= 0:
+            pairs.append((ctx, t1, t2, bound))
+    return pairs
+
+
+def test_scan_calls_are_bounded_by_the_degree_bound(monkeypatch):
+    # an empty window makes one call, for chi(t1, t2); chi >= 0 and a
+    # non-empty window give (g-1)*min(r1, r2) <= 4b, so at most
+    # floor(4b/(g-1)) middle ranks have an interval to evaluate
+    calls = []
+    real = GH.euler_form
+
+    def counted(ctx, a, b):
+        calls.append((a, b))
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(GH, "euler_form", counted)
+    empty_windows = [
+        (G2, SheafType(10**5, -(10**5)), SheafType(10**5, 10**5), 20),
+        (G2, SheafType(5, -12), SheafType(5, 12), 5),  # |d1| = 12 > 2 * 5
+        (GenusContext(3), SheafType(10**6, 3), SheafType(7, 10**6), 2000),
+        (GenusContext(4), SheafType(2, -1), SheafType(10**6, 3 * 10**6), 0),
+    ]
+    empty = clipped = examined = 0
+    for ctx, t1, t2, b in empty_windows + _big_rank_pairs(random.Random(3101), 400):
+        calls.clear()
+        rep = no_bad_splitting_scan(ctx, t1, t2, b)
+        assert rep.violations == 0
+        ranks = min(t1.rank - 1, t2.rank)
+        by_bound = 4 * b // (ctx.genus - 1)
+        assert len(calls) <= 1 + 2 * min(ranks, by_bound), (ctx, t1, t2, b)
+        if max(-b, t1.degree - b, t2.degree - b) > min(b, t1.degree + b, t2.degree + b):
+            assert (calls, rep.examined) == ([(t1, t2)], 0), (ctx, t1, t2, b)
+            empty += 1
+        clipped += by_bound < ranks
+        examined += rep.examined
+    assert empty > 100 and clipped > 10 and examined > 10**5
