@@ -26,14 +26,19 @@ runner, so a value of the wrong kind there fails a check instead of raising.
 The det_segments check compares a node's stored segments with the re-derived
 ones as integer (sign, shift) pairs and builds no map to do it.  trace_ok()
 returns what verify_trace(trace, strict=False).ok would, but stops at the
-first failure and makes no report.  Both make the same pass, _check_trace:
-one pre-order walk with an explicit stack (a node's own checks, then its mu1
-subtree, then its mu2 subtree), so its depth is not bounded by the recursion
-limit, over module-level tables of (name, check) pairs.  A check is one
-function that returns "" when it holds and its failure detail otherwise, so
-it formats the detail only when it fails.  Both runners call each check
-once: verify_trace's records a row per check, and trace_ok's ends the pass
-at the first check that does not hold.
+first failure and makes no report.  Every verdict comes from the same pass,
+_check_trace: one pre-order walk with an explicit stack (a node's own
+checks, then its mu1 subtree, then its mu2 subtree), so its depth is not
+bounded by the recursion limit, over module-level tables of (name, check)
+pairs.  A check is one function that returns "" when it holds and its
+failure detail otherwise, so it formats the detail only when it fails.  The
+pass takes a runner, which calls each check of a table once.  trace_ok's
+ends the pass at the first check that does not hold.  The row runner, run
+by report_rows(trace, row), makes one row per check with the caller's
+row(path, name, detail) as the check returns: verify_trace's rows are
+CheckResults, and the CLI's verify command formats its text or JSON lines
+this way, with no CheckResult between the check and the output.  Either
+way a check that raises is a failed row, "not evaluable: ...".
 
 Each check states its rule once, on the plain values a node holds, and
 the pass takes the genus as an int.  One rule covers every stored sheaf
@@ -524,13 +529,19 @@ _COMPOSITE_CHECKS = (
 )
 
 
-def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:
-    """verify_trace's runner: call each (name, check) of the table once on
-    args, record its row, the detail it returned as the row's detail, and
-    return whether all of them passed.
+def _check_result(path: str, name: str, detail: str) -> CheckResult:
+    return CheckResult(path, name, not detail, detail)
+
+
+def _run(row, rows: list, failed: list, path: str, checks, args: tuple) -> bool:
+    """The row runner: call each (name, check) of the table once on args,
+    append row(path, name, detail) to rows, detail being what the check
+    returned ("" when it holds), append the name of a failing check to
+    failed, and return whether all of them passed.
 
     A check that cannot even be evaluated (garbage values in a tampered trace)
-    counts as failed, never as an exception escaping the verifier.
+    counts as failed, with detail "not evaluable: ...", never as an exception
+    escaping the verifier.
     """
     all_passed = True
     for name, check in checks:
@@ -538,10 +549,22 @@ def _run(results: list[CheckResult], path: str, checks, args: tuple) -> bool:
             note = check(*args)
         except Exception as exc:  # noqa: BLE001 - any blowup means "failed"
             note = f"not evaluable: {exc}"
-        results.append(CheckResult(path, name, not note, note))
+        rows.append(row(path, name, note))
         if note:
+            failed.append(name)
             all_passed = False
     return all_passed
+
+
+def report_rows(trace: ReductionTrace, row) -> tuple[list, bool]:
+    """The verifier's one pass over trace, as (rows, ok): row(path, name,
+    detail) is called as each check returns, detail "" when it holds; rows
+    holds what it returned, in report order, and ok is whether every check
+    held."""
+    rows: list = []
+    failed: list = []
+    _check_trace(trace, functools.partial(_run, row, rows, failed), {})
+    return rows, not failed
 
 
 def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationReport:
@@ -552,10 +575,9 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     check's node path and name is raised instead of returning a failing
     report.
     """
-    results: list[CheckResult] = []
-    _check_trace(trace, functools.partial(_run, results), {})
-    report = VerificationReport(checks=tuple(results))
-    if strict and not report.ok:
+    rows, ok = report_rows(trace, _check_result)
+    report = VerificationReport(checks=tuple(rows))
+    if strict and not ok:
         first = report.failures()[0]
         raise CertificateInvalid(first.path, first.name, first.detail, report=report)
     return report

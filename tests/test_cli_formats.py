@@ -92,6 +92,24 @@ def test_module_entry_point(monkeypatch, capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["chi", "-g", "2", "--t1", "1,0", "--t2", "1,1"],
+    ["chi", "-g", "2", "--t1", "-1,0", "--t2", "1,1"],
+    ["bogus"],
+], ids=["ok", "domain_error", "usage_error"])
+def test_cli_module_runs_as_the_package_does(argv, monkeypatch):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True)
+        for module in ("bunred", "bunred.cli")
+    ]
+    package, module = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    assert module == package
+    assert package[0] != 0 or package[1]
+
+
 def test_solve_lemma_json_on_a_base_type(capsys):
     # rank = hcf: no window solution, one JSON object naming the twist
     assert main(["solve-lemma", "-g", "2", "-r", "3", "-d", "0", "--format", "json"]) == 0
