@@ -25,20 +25,23 @@ what it reads (a node's type, the tail's node sum and composite) inside the
 runner, so a value of the wrong kind there fails a check instead of raising.
 The det_segments check compares a node's stored segments with the re-derived
 ones as integer (sign, shift) pairs and builds no map to do it.  trace_ok()
-returns what verify_trace(trace, strict=False).ok would, but stops at the
-first failure and makes no report.  Every verdict comes from the same pass,
-_check_trace: one pre-order walk with an explicit stack (a node's own
-checks, then its mu1 subtree, then its mu2 subtree), so its depth is not
-bounded by the recursion limit, over module-level tables of (name, check)
-pairs.  A check is one function that returns "" when it holds and its
-failure detail otherwise, so it formats the detail only when it fails.  The
-pass takes a runner, which calls each check of a table once.  trace_ok's
-ends the pass at the first check that does not hold.  The row runner, run
-by report_rows(trace, row), makes one row per check with the caller's
-row(path, name, detail) as the check returns: verify_trace's rows are
-CheckResults, and the CLI's verify command formats its text or JSON lines
-this way, with no CheckResult between the check and the output.  Either
-way a check that raises is a failed row, "not evaluable: ...".
+returns what verify_trace(trace, strict=False).ok would, but makes no
+report.  Every verdict comes from the same pass, _check_trace: one
+pre-order walk with an explicit stack (a node's own checks, then its mu1
+subtree, then its mu2 subtree), so its depth is not bounded by the
+recursion limit, over module-level tables of (name, check) pairs.  A check
+is one function that returns "" when it holds and its failure detail
+otherwise, so it formats the detail only when it fails.  The pass takes a
+runner, which evaluates one table and only reports whether it held; the
+pass returns its verdict, ok, with the nodes it walked.  trace_ok's runner
+stops a table at the first check that does not hold, and a check that
+raises does not hold; the pass itself is whole for trace_ok as for
+verify_trace.  The row runner, made by report_rows(trace, row), calls each
+check once and makes one row per check with the caller's row(path, name,
+detail) as the check returns: verify_trace's rows are CheckResults, and
+the CLI's verify command formats its text or JSON lines this way, with no
+CheckResult between the check and the output.  There a check that raises
+is a failed row, "not evaluable: ...".
 
 Each check states its rule once, on the plain values a node holds, and
 the pass takes the genus as an int.  One rule covers every stored sheaf
@@ -79,7 +82,6 @@ both enforce; its comment gives the reason.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -533,38 +535,29 @@ def _check_result(path: str, name: str, detail: str) -> CheckResult:
     return CheckResult(path, name, not detail, detail)
 
 
-def _run(row, rows: list, failed: list, path: str, checks, args: tuple) -> bool:
-    """The row runner: call each (name, check) of the table once on args,
-    append row(path, name, detail) to rows, detail being what the check
-    returned ("" when it holds), append the name of a failing check to
-    failed, and return whether all of them passed.
+def report_rows(trace: ReductionTrace, row) -> tuple[list, bool]:
+    """The verifier's one pass over trace, as (rows, ok): row(path, name,
+    detail) is called as each check returns, detail "" when it holds; rows
+    holds what it returned, in report order, and ok is the pass's verdict.
 
     A check that cannot even be evaluated (garbage values in a tampered trace)
     counts as failed, with detail "not evaluable: ...", never as an exception
     escaping the verifier.
     """
-    all_passed = True
-    for name, check in checks:
-        try:
-            note = check(*args)
-        except Exception as exc:  # noqa: BLE001 - any blowup means "failed"
-            note = f"not evaluable: {exc}"
-        rows.append(row(path, name, note))
-        if note:
-            failed.append(name)
-            all_passed = False
-    return all_passed
-
-
-def report_rows(trace: ReductionTrace, row) -> tuple[list, bool]:
-    """The verifier's one pass over trace, as (rows, ok): row(path, name,
-    detail) is called as each check returns, detail "" when it holds; rows
-    holds what it returned, in report order, and ok is whether every check
-    held."""
     rows: list = []
-    failed: list = []
-    _check_trace(trace, functools.partial(_run, row, rows, failed), {})
-    return rows, not failed
+
+    def run(path: str, checks, args: tuple) -> bool:
+        held = True
+        for name, check in checks:
+            try:
+                note = check(*args)
+            except Exception as exc:  # noqa: BLE001 - any blowup means "failed"
+                note = f"not evaluable: {exc}"
+            rows.append(row(path, name, note))
+            held = held and not note
+        return held
+
+    return rows, _check_trace(trace, run, {})[1]
 
 
 def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationReport:
@@ -583,45 +576,40 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     return report
 
 
-class _CheckFailed(Exception):
-    """Raised by _halt_on_failure to end trace_ok's pass."""
-
-
-def _halt_on_failure(path: str, checks, args: tuple) -> bool:
-    """trace_ok's runner: call each (name, check) of the table once on args;
-    True if every check returned "", else raise _CheckFailed, so it never
-    returns False.  A check that cannot be evaluated fails, as in _run."""
-    for _, check in checks:
-        try:
-            if not check(*args):
-                continue
-        except Exception:  # noqa: BLE001 - any blowup means "failed"
-            pass
-        raise _CheckFailed
+def _holds(path: str, checks, args: tuple) -> bool:
+    """trace_ok's runner: whether every (name, check) of the table returns ""
+    on args, stopping at the first that does not; a check that raises does
+    not hold."""
+    try:
+        for _, check in checks:
+            if check(*args):
+                return False
+    except Exception:  # noqa: BLE001 - any blowup means "failed"
+        return False
     return True
 
 
 def trace_ok(trace: ReductionTrace, verified: dict[tuple[int, int], StepNode]) -> bool:
     """verify_trace(trace, strict=False).ok, without building the report.
 
-    The same pass as verify_trace's, ended at the first failing check.
-    verified is the caller's memo, (genus, id(node)) -> node, of subtrees
-    that passed in earlier calls: such a node is not walked again (see the
-    module docstring for why that is sound).  The nodes this call walks are
-    added to it only when the whole trace passes.
+    The whole of verify_trace's pass, with a runner that only says whether
+    each table held, so a failing trace is walked as far as verify_trace
+    walks it.  verified is the caller's memo, (genus, id(node)) -> node, of
+    subtrees that passed in earlier calls: such a node is not walked again
+    (see the module docstring for why that is sound).  The nodes this call
+    walks are added to it only when the whole trace passes.
     """
-    try:
-        walked = _check_trace(trace, _halt_on_failure, verified)
-    except _CheckFailed:
-        return False
-    verified.update(walked)
-    return True
+    walked, ok = _check_trace(trace, _holds, verified)
+    if ok:
+        verified.update(walked)
+    return ok
 
 
 def _check_trace(
     trace: ReductionTrace, run, verified: dict[tuple[int, int], StepNode]
-) -> dict[tuple[int, int], StepNode]:
-    """The verifier's one pass; return the nodes it walked, by (genus, id).
+) -> tuple[dict[tuple[int, int], StepNode], bool]:
+    """The verifier's one pass, as (walked, ok): walked holds the nodes it
+    walked, by (genus, id), and ok whether every table it ran held.
 
     run(path, checks, args) evaluates one table of (name, check) pairs and
     says whether all of it held.  The trace's domain checks gate the rest; then come its head
@@ -632,8 +620,8 @@ def _check_trace(
     """
     walked: dict[tuple[int, int], StepNode] = {}
     if not run("trace", _TRACE_DOMAIN_CHECKS, (trace,)):
-        return walked
-    run("trace", _TRACE_HEAD_CHECKS, (trace,))
+        return walked, False
+    ok = run("trace", _TRACE_HEAD_CHECKS, (trace,))
     g = trace.genus
     stack = [(trace.root, "root")]
     while stack:
@@ -643,14 +631,14 @@ def _check_trace(
             continue
         walked[key] = node
         if not run(path, _NODE_DOMAIN_CHECKS, (node,)):
+            ok = False
             continue
         r, d = node.t.rank, node.t.degree
         h = math.gcd(r, d)
         if isinstance(node, BaseStep):
-            run(path, _BASE_CHECKS, (node, r, d, h))
+            ok = run(path, _BASE_CHECKS, (node, r, d, h)) and ok
             continue
-        run(path, _COMPOSITE_CHECKS, (g, node, node.sol, r, d, h))
+        ok = run(path, _COMPOSITE_CHECKS, (g, node, node.sol, r, d, h)) and ok
         stack.append((node.mu2, path + ".mu2"))
         stack.append((node.mu1, path + ".mu1"))
-    run("trace", _TRACE_TAIL_CHECKS, (trace,))
-    return walked
+    return walked, run("trace", _TRACE_TAIL_CHECKS, (trace,)) and ok

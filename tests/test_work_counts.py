@@ -25,9 +25,13 @@ node, and 2,541 SheafType and 3,383 DegreeAffineMap; it calls node_depth
 once per document.  The verifier's pass walks the 1,693 nodes and reports
 14,395 rows (4,141, 5,348 and 4,906 checks).
 
+A failing trace, the genus-2 (12, 5) tree with the root's rkV one too big:
+trace_ok makes the whole pass, as verify_trace does, and walks its 9 nodes.
+
 A count that changes on purpose is pinned again with a reason.
 """
 
+import dataclasses
 from collections import Counter
 
 from test_reduce_golden import _seeded_type
@@ -70,9 +74,9 @@ def _count_walked(monkeypatch, counts):
     real_check_trace = reduction._check_trace
 
     def check_trace(trace, run, verified):
-        walked = real_check_trace(trace, run, verified)
+        walked, ok = real_check_trace(trace, run, verified)
         counts["walked"] += len(walked)
-        return walked
+        return walked, ok
 
     monkeypatch.setattr(reduction, "_check_trace", check_trace)
 
@@ -211,3 +215,20 @@ def test_verify_work_counts(monkeypatch, capsys, tmp_path):
         "node_depth": 3,
         "walked": 1693,
     }
+
+
+def test_trace_ok_walks_a_failing_trace_as_far_as_verify_trace(monkeypatch):
+    trace = reduce(GenusContext(2), SheafType(12, 5))
+    root = dataclasses.replace(trace.root, rkV=trace.root.rkV + 1)
+    bad = dataclasses.replace(trace, root=root)
+    counts = Counter()
+    _count_walked(monkeypatch, counts)
+
+    memo = {}
+    ok = reduction.trace_ok(bad, memo)
+    walked_by_trace_ok = counts.pop("walked")
+    report = reduction.verify_trace(bad, strict=False)
+    assert ok is False and ok == report.ok
+    assert memo == {}
+    assert {c.path for c in report.failures()} == {"root"}
+    assert walked_by_trace_ok == counts["walked"] == 9
