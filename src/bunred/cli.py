@@ -32,15 +32,15 @@ from .reduction import (
     BaseStep,
     ReductionTrace,
     StepNode,
-    VerificationReport,
     node_depth,
     reduce,
     report_rows,
     trace_ok,
     verify_trace,
 )
-# `trace_to_dict` is not called here; it stays importable as
-# `cli.trace_to_dict`, a name that bench/tracer.py wraps.
+# `verify_trace` and `trace_to_dict` are not called here; they stay
+# importable as `cli.verify_trace` and `cli.trace_to_dict`, names that
+# bench/tracer.py wraps.
 from .serialize import dump, dumps, int_limit_error, load, trace_to_dict
 from .types import GenusContext, SheafType
 
@@ -70,7 +70,7 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def format_trace_text(trace: ReductionTrace, report: VerificationReport | None) -> str:
+def format_trace_text(trace: ReductionTrace) -> str:
     lines = [
         f"reduction: Bun{trace.input} -> Bun({trace.h},0)   genus {trace.genus}"
     ]
@@ -98,15 +98,11 @@ def format_trace_text(trace: ReductionTrace, report: VerificationReport | None) 
         f"  det ledger: {m.describe()} ; {trace.input.degree} -> {m.apply(trace.input.degree)}"
     )
     lines.append(f"  total affine dimension: {trace.total_affine_dim}")
-    if report is not None:
-        failed = report.failures()
-        if not failed:
-            lines.append(f"certificate VALID ({len(report.checks)} checks)")
-        else:
-            lines.append(f"certificate INVALID ({len(failed)} failed checks)")
-            for c in failed:
-                lines.append(f"  FAIL {c.path}: {c.name} {c.detail}")
     return "\n".join(lines) + "\n"
+
+
+def _failure_row(path: str, name: str, detail: str) -> str:
+    return f"  FAIL {path}: {name} {detail}" if detail else ""
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[str, bool]:
@@ -116,8 +112,10 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[str, bool]:
         # the document records only the verdict, so no report is built
         ok = trace_ok(trace, {})
         return dumps(trace, valid=ok), ok
-    report = verify_trace(trace, strict=False)
-    return format_trace_text(trace, report), report.ok
+    rows, ok = report_rows(trace, _failure_row)
+    failed = [row for row in rows if row]
+    verdict = f"VALID ({len(rows)} checks)" if ok else f"INVALID ({len(failed)} failed checks)"
+    return format_trace_text(trace) + "\n".join([f"certificate {verdict}", *failed]) + "\n", ok
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, bool]:

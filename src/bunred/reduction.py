@@ -39,7 +39,8 @@ raises does not hold; the pass itself is whole for trace_ok as for
 verify_trace.  The row runner, made by report_rows(trace, row), calls each
 check once and makes one row per check with the caller's row(path, name,
 detail) as the check returns: verify_trace's rows are CheckResults, and
-the CLI's verify command formats its text or JSON lines this way, with no
+the CLI's verify command formats its text or JSON lines this way, as its
+reduce command formats the failed checks under its text verdict, with no
 CheckResult between the check and the output.  There a check that raises
 is a failed row, "not evaluable: ...".
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bunred import GenusContext, SheafType, dumps, reduce, verify_trace
-from bunred.cli import build_parser, format_trace_text, main
+from bunred import GenusContext, SheafType, cli, dumps, reduce
+from bunred.cli import build_parser, main
 
 
 def test_solve_lemma_json(capsys):
@@ -167,11 +167,12 @@ def test_out_file_gets_the_bytes_stdout_would(argv, tmp_path, capsys):
     assert code == (1 if "bad.json" in argv[1] else 0)  # only the tampered document fails
 
 
-def test_trace_text_lists_each_failed_check_once():
+def test_trace_text_lists_each_failed_check_once(monkeypatch, capsys):
     trace = reduce(GenusContext(2), SheafType(2, 1))
     bad = replace(trace, root=replace(trace.root, rkV=5))
-    text = format_trace_text(bad, verify_trace(bad, strict=False))
-    assert text.splitlines()[-4:] == [
+    monkeypatch.setattr(cli, "reduce", lambda ctx, t: bad)
+    assert main(["reduce", "-g", "2", "-r", "2", "-d", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
         "certificate INVALID (3 failed checks)",
         "  FAIL root: hom_bundle_rank stored rkV=5 is not chi((r1,d1),(rF,dF))",
         "  FAIL root: dimension_identity (g-1)r^2 = 4 != (g-1)r1^2 + h(rkV-h)",

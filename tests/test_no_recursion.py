@@ -88,7 +88,7 @@ def test_deep_chain_round_trips_from_a_deep_stack():
     def run():
         doc = trace_to_dict(trace)
         back = trace_from_dict(doc)
-        return doc, back, back == trace, hash(back) == hash(trace), format_trace_text(back, None)
+        return doc, back, back == trace, hash(back) == hash(trace), format_trace_text(back)
 
     depth, (doc, back, equal, same_hash, text) = _deep_stack(run)
     assert depth >= STACK_FRAMES

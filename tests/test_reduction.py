@@ -297,7 +297,7 @@ def test_deepest_trees_are_written_and_read_back(seed, digits, depth):
     rank = rng.randrange(10 ** (digits - 1), 10**digits)
     trace = reduce(G2, SheafType(rank, rng.randrange(-rank, rank)))
     assert node_depth(trace.root) == depth <= serialize.MAX_TREE_DEPTH
-    text = format_trace_text(trace, None)
+    text = format_trace_text(trace)
     assert text.count("\n") == len(_occurrences(trace.root)) + 3
     # the document `reduce --format json` writes; rewriting the parsed
     # document gives back the same bytes

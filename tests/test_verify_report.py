@@ -1,19 +1,25 @@
-"""`bunred verify`'s report, written row by row as the checks return.
+"""`bunred verify`'s report, and `bunred reduce`'s text verdict, written
+row by row as the checks return.
 
-The command formats each row when its check returns and builds no
-CheckResult.  The expressions it replaced are kept here as oracles, built
-from verify_trace(trace, strict=False).checks:
+The commands format each row when its check returns and build no
+CheckResult.  The expressions they replaced are kept here as oracles, built
+from verify_trace(trace, strict=False):
 
-- text: a second loop over the rows, PASS or FAIL, the path and the name,
-  the detail in parentheses when the check failed, then the verdict line;
-- JSON: json.dumps({"valid": ok, "checks": [...]}, indent=2) plus a newline,
-  each check an object with the keys path, name, passed and detail.
+- verify's text: a second loop over the rows, PASS or FAIL, the path and
+  the name, the detail in parentheses when the check failed, then the
+  verdict line;
+- verify's JSON: json.dumps({"valid": ok, "checks": [...]}, indent=2) plus a
+  newline, each check an object with the keys path, name, passed and detail;
+- reduce's text: format_trace_text(trace, report) with its report branch,
+  the verdict line and then each failed check, in report order.
 
 The documents are the three 100-digit golden types of test_reduce_golden,
 the traces of test_tamper and that file's corpus: every +-1 change of one
 integer of each of those documents that still parses.  Details holding
 quotes, backslashes, control characters and non-ASCII text come from
-in-memory traces, since a parsed document holds only ints.
+in-memory traces, since a parsed document holds only ints.  reduce's traces
+are the grid genus 2..3, rank 1..6, degree -6..6 and +1 tamperings of each,
+served to the command in memory.
 """
 
 import json
@@ -25,9 +31,9 @@ from test_check_contract import NAMES
 from test_reduce_golden import _seeded_type
 from test_tamper import TRACES, _int_paths, _with_delta
 
-from bunred import GenusContext, ParseError, SheafType, cli, dumps, load, reduce, reduction
-from bunred import trace_from_dict, trace_to_dict, verify_trace
-from bunred.cli import main
+from bunred import BaseStep, GenusContext, ParseError, SheafType, cli, dumps, load, reduce
+from bunred import reduction, trace_from_dict, trace_to_dict, verify_trace
+from bunred.cli import format_trace_text, main
 
 PATH = re.compile(r"^(trace|root(\.mu[12])*)$")
 
@@ -136,6 +142,68 @@ def test_details_are_escaped_as_json_dumps_escapes_them(fmt, text, monkeypatch, 
     assert _verify(capsys, fmt, "in-memory") == ORACLES[fmt](trace)
 
 
+def _reduce_oracle(trace):
+    """format_trace_text(trace, verify_trace(trace, strict=False)) as it was
+    written with its report branch, and the exit code of report.ok."""
+    report = verify_trace(trace, strict=False)
+    lines = [format_trace_text(trace).removesuffix("\n")]
+    failed = report.failures()
+    if not failed:
+        lines.append(f"certificate VALID ({len(report.checks)} checks)")
+    else:
+        lines.append(f"certificate INVALID ({len(failed)} failed checks)")
+        for c in failed:
+            lines.append(f"  FAIL {c.path}: {c.name} {c.detail}")
+    return ("\n".join(lines) + "\n", 0 if report.ok else 1)
+
+
+def _reduce_traces():
+    """(label, trace) of the grid genus 2..3, rank 1..6, degree -6..6, and of
+    each of its traces with one field raised by 1: h, total_affine_dim, and
+    the root's rkV, rho_affine, hecke_affine and sol.dF, or a base root's
+    twist_degree."""
+    for g in (2, 3):
+        for r in range(1, 7):
+            for d in range(-6, 7):
+                trace = reduce(GenusContext(g), SheafType(r, d))
+                root, label = trace.root, f"g{g} ({r},{d})"
+                yield label, trace
+                yield f"{label} h+1", replace(trace, h=trace.h + 1)
+                n = trace.total_affine_dim + 1
+                yield f"{label} total_affine_dim+1", replace(trace, total_affine_dim=n)
+                if isinstance(root, BaseStep):
+                    roots = {"twist_degree": replace(root, twist_degree=root.twist_degree + 1)}
+                else:
+                    roots = {
+                        name: replace(root, **{name: getattr(root, name) + 1})
+                        for name in ("rkV", "rho_affine", "hecke_affine")
+                    }
+                    roots["sol.dF"] = replace(root, sol=replace(root.sol, dF=root.sol.dF + 1))
+                for name, bad in roots.items():
+                    yield f"{label} root.{name}+1", replace(trace, root=bad)
+
+
+def _reduce(capsys, monkeypatch, trace):
+    """main's stdout and exit code for text reduce, with cli.reduce serving
+    trace."""
+    monkeypatch.setattr(cli, "reduce", lambda ctx, t: trace)
+    t = trace.input
+    code = main(["reduce", "-g", str(trace.genus), "-r", str(t.rank), "-d", str(t.degree)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out, code
+
+
+def test_reduce_text_equals_the_oracle_on_every_trace(monkeypatch, capsys):
+    invalid = total = 0
+    for label, trace in _reduce_traces():
+        expected = _reduce_oracle(trace)
+        assert _reduce(capsys, monkeypatch, trace) == expected, label
+        invalid += expected[1]
+        total += 1
+    assert (total, invalid) == (888, 732)  # every tampering fails
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_builds_no_check_result(fmt, monkeypatch, capsys, tmp_path):
     built = []
@@ -155,6 +223,10 @@ def test_verify_builds_no_check_result(fmt, monkeypatch, capsys, tmp_path):
 
     assert _verify(capsys, fmt, str(good))[1] == 0
     assert _verify(capsys, fmt, str(bad))[1] == 1
+    # text reduce, on the trace and on a tampered one
+    tampered = replace(trace, root=replace(trace.root, rkV=trace.root.rkV + 1))
+    assert _reduce(capsys, monkeypatch, trace)[1] == 0
+    assert _reduce(capsys, monkeypatch, tampered)[1] == 1
     assert len(built) == 0
     # the counter sees the rows verify_trace builds
     assert len(verify_trace(trace).checks) == len(built) == 44
