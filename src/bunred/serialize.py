@@ -16,7 +16,11 @@ Composite nodes do not store their own (rank, degree); it is derived
 top-down (the root's type is the input, a mu1 child has type (r1, d1), a mu2
 child has type (h1, -hcf(parent))).  Parsing checks the shape and that these
 types are sheaf types; a document with otherwise tampered numbers parses
-fine and is rejected later by verify_trace.
+fine and is rejected later by verify_trace.  A node's fields are read with
+plain lookups; the checked reads, which raise a node's first fault in a fixed
+order, run only for a node with a field that is missing or is not a plain
+int (see _node_from_dict).  A child's type is checked at its parent and a
+SheafType is built only for a composite node.
 
 dumps writes the document text straight from the tree, in one explicit-stack
 pass: each node becomes a few pieces in the schema's sorted key order, and
@@ -46,7 +50,7 @@ from .affine import DegreeAffineMap
 from .diophantine import LemmaSolution
 from .errors import BunredError, DomainError, ParseError
 from .reduction import BaseStep, CompositeStep, ReductionTrace, StepNode, node_depth
-from .types import SheafType
+from .types import SheafType, check_type
 
 SCHEMA_VERSION = 1
 
@@ -113,9 +117,10 @@ def _need_int(doc: Any, key: str, loc: str) -> int:
 
 
 def _construct(make, a: int, b: int, loc: str, lead: str = "") -> Any:
-    """make(a, b), for a constructor that checks its fields (SheafType,
-    DegreeAffineMap), or a ParseError at loc: lead, then why.  The caller
-    reads the fields first, so their own errors are not wrapped."""
+    """make(a, b), for a constructor or rule that checks its fields
+    (SheafType, DegreeAffineMap, check_type), or a ParseError at loc: lead,
+    then why.  The caller reads the fields first, so their own errors are
+    not wrapped."""
     try:
         return make(a, b)
     except BunredError as exc:
@@ -161,60 +166,87 @@ def _node_from_dict(parent: Any, key: str, t: SheafType, loc: str) -> StepNode:
     looked up only once its mu1 subtree has been read, so the first fault
     reported is the one a depth-first reading meets first.  Nodes are made
     in post-order, each composite from the two nodes last made.
+
+    A node's fields are read with plain lookups.  The checked reads (_need,
+    _need_int, _construct, _map_from_dict) run only for a node with a field
+    that is missing or is not a plain int (det_maps: not a plain list of
+    plain objects), or whose fields a constructor refuses.  They read the
+    node again in a fixed order, so they raise its first fault: a base
+    node's rank, degree, type and twist_degree; a composite's rF, dF, r1,
+    d1, h1, det_maps, child types, rkV, rho_affine and hecke_affine.  They
+    also read the int and dict subclasses that the plain lookups pass on to
+    them.  A child's type is checked with check_type at its parent, which
+    passes it on as a (rank, degree) pair; a SheafType is built only for a
+    composite node, as a base node builds its own type from its fields.
     """
     made: list[StepNode] = []
     # Popped from the end: (parent, key, type, loc) reads the node at
-    # parent[key]; a dict holds the own fields of a composite node, which is
-    # made once both of its children are.
-    todo: list[Any] = [(parent, key, t, loc)]
+    # parent[key], whose type is a SheafType at the root and a (rank, degree)
+    # pair below it; (t, sol, rkV, rho_affine, hecke_affine, det_maps) holds
+    # the own fields of a composite node, made once both of its children are.
+    todo: list[tuple] = [(parent, key, t, loc)]
     while todo:
         item = todo.pop()
-        if item.__class__ is dict:
+        if len(item) == 6:
+            t, sol, rkV, rho, hecke, det_maps = item
             mu2 = made.pop()
-            mu1 = made.pop()
-            made.append(CompositeStep(mu1=mu1, mu2=mu2, **item))
+            made.append(CompositeStep(t, sol, rkV, rho, hecke, made.pop(), mu2, det_maps))
             continue
         parent, key, t, loc = item
-        doc = _need(parent, key, loc)
-        loc = f"{loc}.{key}"
-        kind = _need(doc, "kind", loc)
+        doc = parent.get(key)
+        kind = doc.get("kind") if doc.__class__ is dict else None
+        if kind is None:
+            kind = _need(_need(parent, key, loc), "kind", f"{loc}.{key}")
         if kind == "base":
-            own = _construct(
-                SheafType, _need_int(doc, "rank", loc), _need_int(doc, "degree", loc), loc
-            )
-            made.append(BaseStep(t=own, twist_degree=_need_int(doc, "twist_degree", loc)))
+            r, d, e = doc.get("rank"), doc.get("degree"), doc.get("twist_degree")
+            if r.__class__ is int and d.__class__ is int and e.__class__ is int:
+                try:
+                    made.append(BaseStep(SheafType(r, d), e))
+                    continue
+                except BunredError:
+                    pass
+            loc = f"{loc}.{key}"
+            r, d = _need_int(doc, "rank", loc), _need_int(doc, "degree", loc)
+            own = _construct(SheafType, r, d, loc)
+            made.append(BaseStep(own, _need_int(doc, "twist_degree", loc)))
             continue
+        loc = f"{loc}.{key}"
         if kind != "composite":
             raise ParseError(f"{loc}.kind", f"expected 'base' or 'composite', got {kind!r}")
-
-        sol = LemmaSolution(
-            rF=_need_int(doc, "rF", loc),
-            dF=_need_int(doc, "dF", loc),
-            r1=_need_int(doc, "r1", loc),
-            d1=_need_int(doc, "d1", loc),
-            h=math.gcd(t.rank, t.degree),
-            h1=_need_int(doc, "h1", loc),
-        )
-        maps_doc = _need(doc, "det_maps", loc)
-        if not isinstance(maps_doc, list):
-            raise ParseError(f"{loc}.det_maps", "expected a list")
-        det_maps = tuple(
-            _map_from_dict(m, f"{loc}.det_maps[{i}]") for i, m in enumerate(maps_doc)
-        )
-        t1 = _construct(SheafType, sol.r1, sol.d1, loc, "child types are not representable: ")
-        t2 = _construct(SheafType, sol.h1, -sol.h, loc, "child types are not representable: ")
-        todo.append(
-            {
-                "t": t,
-                "sol": sol,
-                "rkV": _need_int(doc, "rkV", loc),
-                "rho_affine": _need_int(doc, "rho_affine", loc),
-                "hecke_affine": _need_int(doc, "hecke_affine", loc),
-                "det_maps": det_maps,
-            }
-        )
-        todo.append((doc, "mu2", t2, loc))
-        todo.append((doc, "mu1", t1, loc))
+        t = SheafType(*t) if t.__class__ is tuple else t
+        h = math.gcd(t.rank, t.degree)
+        g = doc.get
+        rF, dF, r1, d1, h1 = g("rF"), g("dF"), g("r1"), g("d1"), g("h1")
+        rkV, rho, hecke, maps = g("rkV"), g("rho_affine"), g("hecke_affine"), g("det_maps")
+        det_maps = None
+        if (
+            rF.__class__ is int and dF.__class__ is int and r1.__class__ is int
+            and d1.__class__ is int and h1.__class__ is int and rkV.__class__ is int
+            and rho.__class__ is int and hecke.__class__ is int and maps.__class__ is list
+        ):
+            try:
+                det_maps = tuple([
+                    DegreeAffineMap(m["sign"], m["shift"]) for m in maps
+                    if m.__class__ is dict
+                    and m.get("sign").__class__ is int and m.get("shift").__class__ is int
+                ])
+                check_type(r1, d1)
+                check_type(h1, -h)
+            except BunredError:
+                det_maps = None
+        if det_maps is None or len(det_maps) != len(maps):
+            rF, dF, r1, d1, h1 = [_need_int(doc, k, loc) for k in ("rF", "dF", "r1", "d1", "h1")]
+            maps = _need(doc, "det_maps", loc)
+            if not isinstance(maps, list):
+                raise ParseError(f"{loc}.det_maps", "expected a list")
+            det_maps = tuple(_map_from_dict(m, f"{loc}.det_maps[{i}]") for i, m in enumerate(maps))
+            _construct(check_type, r1, d1, loc, "child types are not representable: ")
+            _construct(check_type, h1, -h, loc, "child types are not representable: ")
+            rkV, rho, hecke = [
+                _need_int(doc, k, loc) for k in ("rkV", "rho_affine", "hecke_affine")
+            ]
+        todo += ((t, LemmaSolution(rF, dF, r1, d1, h, h1), rkV, rho, hecke, det_maps),
+                 (doc, "mu2", (h1, -h), loc), (doc, "mu1", (r1, d1), loc))
     return made[0]
 
 

@@ -198,7 +198,7 @@ def test_reduce_json_uses_document_encoding(capsys):
 @pytest.mark.parametrize("field", [None, "dF", "rkV", "hecke_affine"])
 def test_reduce_exit_code_is_the_verifiers_verdict(field, monkeypatch, capsys):
     # reduce is made to return a tampered trace, so that the JSON path, which
-    # runs trace_ok, and the text path, which runs verify_trace, can fail
+    # runs trace_ok, and the text path, which runs report_rows, can fail
     doc = trace_to_dict(reduce(GenusContext(2), SheafType(6, 4)))
     if field is not None:
         doc["root"][field] += 1

@@ -21,8 +21,12 @@ test_reduce_golden, one per genus 2..4, each with its own table and memo:
 The read side is `verify FILE` on the documents of the three 100-digit
 types of test_reduce_golden, one per genus 2..4.  While cli.load reads them
 it builds 845 CompositeStep, 848 BaseStep and 845 LemmaSolution, one per
-node, and 2,541 SheafType and 3,383 DegreeAffineMap; it calls node_depth
-once per document.  The verifier's pass walks the 1,693 nodes and reports
+node, and 1,693 SheafType and 3,383 DegreeAffineMap; it calls node_depth
+once per document.  SheafType was 2,541 (3 inputs, one per node and one per
+child type) while the reader built each child's type at its parent; a
+child's type is now only checked there, and a SheafType is built for each
+input, each base node and each composite node below a root, which takes
+its document's input: 3 + 848 + 842.  The verifier's pass walks the 1,693 nodes and reports
 14,395 rows (4,141, 5,348 and 4,906 checks).
 
 A failing trace, the genus-2 (12, 5) tree with the root's rkV one too big:
@@ -210,7 +214,7 @@ def test_verify_work_counts(monkeypatch, capsys, tmp_path):
         "CompositeStep": 845,
         "BaseStep": 848,
         "LemmaSolution": 845,
-        "SheafType": 2541,
+        "SheafType": 1693,
         "DegreeAffineMap": 3383,
         "node_depth": 3,
         "walked": 1693,
