@@ -17,32 +17,12 @@ and documents with a bool where an integer belongs, which are refused.
 import hashlib
 
 import pytest
+from test_parse_golden import _objects, _outcome
 
 from bunred import GenusContext, ParseError, SheafType, reduce, trace_from_dict, trace_to_dict
 
 EDITS = 27136
 DIGEST = "cfa7f32863d81bb98ead4861ab6ed0b5335c26ae49de899dd8b3d5b352d3223b"
-
-
-def _objects(doc):
-    """The nodes and determinant maps of the document, in pre-order with sorted keys."""
-    stack = [doc["root"]]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            yield value
-            members = [value[key] for key in sorted(value)]
-        else:
-            members = value
-        stack.extend(m for m in reversed(members) if isinstance(m, (dict, list)))
-
-
-def _outcome(doc):
-    try:
-        trace_from_dict(doc)
-    except ParseError as exc:
-        return str(exc)
-    return "ok"
 
 
 def _edits(obj):
@@ -63,7 +43,8 @@ def test_two_faults_in_a_node_are_pinned():
         for r in range(1, 7):
             for d in range(-6, 7):
                 doc = trace_to_dict(reduce(ctx, SheafType(r, d)))
-                for obj in list(_objects(doc)):
+                # the nodes and determinant maps, in pre-order with sorted keys
+                for obj in list(_objects(doc["root"])):
                     saved = dict(obj)
                     for sets, deletes in _edits(obj):
                         obj.update(sets)
