@@ -56,7 +56,7 @@ def _solution(t: SheafType, h: int, rF: int, dF: int) -> LemmaSolution:
     """The record of the window solution (rF, dF) of t, h = hcf(t)."""
     r1 = h * rF - t.rank
     d1 = h * dF - t.degree
-    return LemmaSolution(rF=rF, dF=dF, r1=r1, d1=d1, h=h, h1=math.gcd(r1, d1))
+    return LemmaSolution(rF, dF, r1, d1, h, math.gcd(r1, d1))
 
 
 def solve_lemma(ctx: GenusContext, t: SheafType) -> LemmaSolution:

@@ -51,8 +51,8 @@ def generic_hom(ctx: GenusContext, t1: SheafType, t2: SheafType) -> GenericHomRe
         raise DomainError(f"no prediction for rank-zero types: {t1}, {t2}")
     chi = euler_form(ctx, t1, t2)
     if chi < 0:
-        return GenericHomReport(hom_dim=0, ext_dim=0, covered=False)
-    return GenericHomReport(hom_dim=chi, ext_dim=0, covered=True)
+        return GenericHomReport(0, 0, False)
+    return GenericHomReport(chi, 0, True)
 
 
 def generic_morphism_kind(ctx: GenusContext, t1: SheafType, t2: SheafType) -> MorphismKind:
@@ -150,7 +150,7 @@ def no_bad_splitting_scan(
     b = degree_bound
     L, H = max(-b, d1 - b, d2 - b), min(b, d1 + b, d2 + b)
     if L > H:
-        return SplittingScanReport(examined=0, violations=0)
+        return SplittingScanReport(0, 0)
     examined = 0
     for r in range(1, min(r1 - 1, r2) + 1):
         lo = max(d1 * r // r1 + 1, L)
@@ -163,4 +163,4 @@ def no_bad_splitting_scan(
             for d in range(lo, hi + 1):
                 if message := fault(r, d):
                     raise TheoremContradicted(message)
-    return SplittingScanReport(examined=examined, violations=0)
+    return SplittingScanReport(examined, 0)

@@ -223,13 +223,13 @@ def reduce(
     root = _build_tree(ctx, t, {} if built is None else built)
     h = math.gcd(t.rank, t.degree)
     return ReductionTrace(
-        genus=ctx.genus,
-        input=t,
-        h=h,
-        root=root,
+        ctx.genus,
+        t,
+        h,
+        root,
         # dim Bun(r,d) - dim Bun(h,0); the verifier checks it against the node sum
-        total_affine_dim=(ctx.genus - 1) * (t.rank**2 - h**2),
-        composite_det=node_composite_det(root),
+        (ctx.genus - 1) * (t.rank**2 - h**2),
+        node_composite_det(root),
     )
 
 
@@ -263,15 +263,18 @@ def _build_tree(
             mu2 = built[sol.h1, -h]
             # chi((r1, d1), (rF, dF)), as euler_form computes it
             rk_v = (1 - ctx.genus) * sol.r1 * sol.rF + sol.r1 * sol.dF - sol.rF * sol.d1
+            # Positional, in the dataclass's field order (t, sol, rkV, rho_affine,
+            # hecke_affine, mu1, mu2, det_maps): a keyword call to a class
+            # builds a kwargs dict for its __init__, once per node.
             built[t.rank, t.degree] = CompositeStep(
-                t=t,
-                sol=sol,
-                rkV=rk_v,
-                rho_affine=h * (rk_v - sol.h1),
-                hecke_affine=h * (sol.h1 - h),
-                mu1=mu1,
-                mu2=mu2,
-                det_maps=(
+                t,
+                sol,
+                rk_v,
+                h * (rk_v - sol.h1),
+                h * (sol.h1 - h),
+                mu1,
+                mu2,
+                (
                     DegreeAffineMap(-1, h * sol.dF),
                     node_composite_det(mu1),
                     DegreeAffineMap(1, -h),
@@ -283,7 +286,7 @@ def _build_tree(
         if item in built:
             continue
         if d % r == 0:
-            built[r, d] = BaseStep(t=SheafType(r, d), twist_degree=-(d // r))
+            built[r, d] = BaseStep(SheafType(r, d), -(d // r))
             continue
         t = SheafType(r, d)
         sol = solve_lemma(ctx, t)
@@ -570,7 +573,7 @@ def verify_trace(trace: ReductionTrace, *, strict: bool = True) -> VerificationR
     report.
     """
     rows, ok = report_rows(trace, _check_result)
-    report = VerificationReport(checks=tuple(rows))
+    report = VerificationReport(tuple(rows))
     if strict and not ok:
         first = report.failures()[0]
         raise CertificateInvalid(first.path, first.name, first.detail, report=report)

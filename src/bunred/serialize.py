@@ -148,12 +148,12 @@ def trace_from_dict(doc: Any) -> ReductionTrace:
     )
     root = _node_from_dict(doc, "root", t, loc)
     return ReductionTrace(
-        genus=genus,
-        input=t,
-        h=_need_int(doc, "h", loc),
-        root=root,
-        total_affine_dim=_need_int(doc, "total_affine_dim", loc),
-        composite_det=_map_from_dict(_need(doc, "composite_det", loc), f"{loc}.composite_det"),
+        genus,
+        t,
+        _need_int(doc, "h", loc),
+        root,
+        _need_int(doc, "total_affine_dim", loc),
+        _map_from_dict(_need(doc, "composite_det", loc), f"{loc}.composite_det"),
     )
 
 
