@@ -48,7 +48,9 @@ from .types import GenusContext, SheafType
 def _parse_pair(text: str) -> tuple[int, int]:
     """'rank,degree' as two ints; an argparse type, so a malformed pair is a
     usage error.  The commands build the SheafType, so a pair that is not a
-    sheaf type (negative rank) stays a domain error."""
+    sheaf type (negative rank) stays a domain error when given in the '='
+    form (--t1=-1,0); as a separate argument (--t1 -1,0) argparse reads it
+    as an option, a usage error."""
     try:
         rank_s, degree_s = text.split(",")
         return int(rank_s), int(degree_s)

@@ -96,7 +96,8 @@ def test_module_entry_point(monkeypatch, capsys):
     ["chi", "-g", "2", "--t1", "1,0", "--t2", "1,1"],
     ["chi", "-g", "2", "--t1", "-1,0", "--t2", "1,1"],
     ["bogus"],
-], ids=["ok", "domain_error", "usage_error"])
+    ["chi", "-g", "2", "--t1=-1,0", "--t2", "1,1"],
+], ids=["ok", "domain_error", "usage_error", "negative_pair_equals_form"])
 def test_cli_module_runs_as_the_package_does(argv, monkeypatch):
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))

@@ -129,6 +129,17 @@ def test_a_commands_errors_name_it(name, capsys):
         assert err.splitlines()[-1].startswith(f"bunred {name}: error: ")
 
 
+@pytest.mark.parametrize("name", ["chi", "generic-hom", "scan-splittings"])
+def test_a_negative_pair_is_a_domain_error_only_in_the_equals_form(name, capsys):
+    # --t1=-1,0 reaches the command, which refuses the type (exit 1); in
+    # --t1 -1,0 argparse reads -1,0 as an option, so --t1 has no value (exit 2)
+    code, out, err = _outcome([name, "-g", "2", "--t1=-1,0", "--t2", "1,1"], capsys)
+    assert (code, out, err) == (1, "", "error: rank must be >= 0, got -1\n")
+    code, out, err = _outcome([name, "-g", "2", "--t1", "-1,0", "--t2", "1,1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"bunred {name}: error: argument --t1: expected one argument"
+
+
 def _run_module(argv):
     """`python -m bunred ARGV` in a fresh process: (exit code, stdout, stderr)
     as bytes."""
